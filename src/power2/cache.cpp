@@ -3,8 +3,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "src/check/check.hpp"
-
 namespace p2sim::power2 {
 
 bool CacheConfig::valid() const {
@@ -20,60 +18,8 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   set_mask_ = cfg_.num_sets() - 1;
   line_shift_ = static_cast<std::uint32_t>(
       std::countr_zero(static_cast<std::uint64_t>(cfg_.line_bytes)));
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.num_sets()));
   lines_.resize(cfg_.num_sets() * cfg_.ways);
-}
-
-CacheAccess Cache::access(std::uint64_t addr, bool is_store) {
-  const std::uint64_t block = addr >> line_shift_;
-  const std::uint64_t set = block & set_mask_;
-  const std::uint64_t tag = block >> std::countr_zero(set_mask_ + 1);
-  Line* base = &lines_[set * cfg_.ways];
-  ++tick_;
-  ++accesses_;
-
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      l.lru = tick_;
-      l.dirty = l.dirty || is_store;
-      ++hits_;
-      P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                      "every cache access is a hit or a miss");
-      return {.hit = true, .reload = false, .dirty_evict = false};
-    }
-  }
-
-  ++misses_;
-  CacheAccess out{.hit = false, .reload = false, .dirty_evict = false};
-  if (is_store && !cfg_.write_allocate) {
-    // Write-through-no-allocate stores go straight to memory.
-    return out;
-  }
-
-  // Choose the victim: invalid way first, else true LRU.
-  Line* victim = base;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& l = base[w];
-    if (!l.valid) {
-      victim = &l;
-      break;
-    }
-    if (l.lru < victim->lru) victim = &l;
-  }
-  if (victim->valid && victim->dirty) {
-    out.dirty_evict = true;
-    ++dirty_evictions_;
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  victim->dirty = is_store;
-  out.reload = true;
-  P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                  "every cache access is a hit or a miss");
-  P2SIM_INVARIANT(!out.dirty_evict || out.reload,
-                  "a dirty eviction can only accompany a reload");
-  return out;
 }
 
 void Cache::flush() {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/check/annotate.hpp"
+#include "src/check/check.hpp"
 
 namespace p2sim::power2 {
 
@@ -41,7 +42,8 @@ class Cache {
   /// Accesses one address (the address, not a range: callers issue one
   /// access per instruction, matching HPM count semantics for quad ops).
   /// Touches only this cache instance, so a worker-private core may call
-  /// it inside the parallel measurement region.
+  /// it inside the parallel measurement region.  Defined below, in the
+  /// header: the core's inner loop calls it once per memory instruction.
   P2SIM_PAR_SAFE CacheAccess access(std::uint64_t addr, bool is_store);
 
   /// Drops all lines (used between unrelated kernel runs).
@@ -66,6 +68,7 @@ class Cache {
   CacheConfig cfg_;
   std::uint64_t set_mask_;
   std::uint32_t line_shift_;
+  std::uint32_t set_shift_;  ///< log2(num_sets): block -> tag
   std::vector<Line> lines_;  // sets * ways, way-major within a set
   std::uint64_t tick_ = 0;
   std::uint64_t accesses_ = 0;
@@ -73,5 +76,58 @@ class Cache {
   std::uint64_t misses_ = 0;
   std::uint64_t dirty_evictions_ = 0;
 };
+
+inline CacheAccess Cache::access(std::uint64_t addr, bool is_store) {
+  const std::uint64_t block = addr >> line_shift_;
+  const std::uint64_t set = block & set_mask_;
+  const std::uint64_t tag = block >> set_shift_;
+  Line* base = &lines_[set * cfg_.ways];
+  ++tick_;
+  ++accesses_;
+
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    Line& l = base[w];
+    if (l.valid && l.tag == tag) {
+      l.lru = tick_;
+      l.dirty = l.dirty || is_store;
+      ++hits_;
+      P2SIM_INVARIANT(hits_ + misses_ == accesses_,
+                      "every cache access is a hit or a miss");
+      return {.hit = true, .reload = false, .dirty_evict = false};
+    }
+  }
+
+  ++misses_;
+  CacheAccess out{.hit = false, .reload = false, .dirty_evict = false};
+  if (is_store && !cfg_.write_allocate) {
+    // Write-through-no-allocate stores go straight to memory.
+    return out;
+  }
+
+  // Choose the victim: invalid way first, else true LRU.
+  Line* victim = base;
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    Line& l = base[w];
+    if (!l.valid) {
+      victim = &l;
+      break;
+    }
+    if (l.lru < victim->lru) victim = &l;
+  }
+  if (victim->valid && victim->dirty) {
+    out.dirty_evict = true;
+    ++dirty_evictions_;
+  }
+  victim->valid = true;
+  victim->tag = tag;
+  victim->lru = tick_;
+  victim->dirty = is_store;
+  out.reload = true;
+  P2SIM_INVARIANT(hits_ + misses_ == accesses_,
+                  "every cache access is a hit or a miss");
+  P2SIM_INVARIANT(!out.dirty_evict || out.reload,
+                  "a dirty eviction can only accompany a reload");
+  return out;
+}
 
 }  // namespace p2sim::power2

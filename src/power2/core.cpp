@@ -204,10 +204,15 @@ std::uint64_t Power2Core::run_iteration(const KernelDesc& kernel,
         std::uint64_t& cur = stream_cursor_[in.stream];
         const std::uint64_t addr = stream_base_[in.stream] + cur;
         // Advance the cursor, wrapping within the footprint (negative
-        // strides walk backwards).
+        // strides walk backwards).  The cursor stays in [0, fp), so a
+        // step that lands inside the footprint needs no division; only a
+        // wrap takes the signed remainder, which yields the same offset.
         const std::int64_t fp = static_cast<std::int64_t>(s.footprint_bytes);
-        std::int64_t nxt = (static_cast<std::int64_t>(cur) + s.stride_bytes) % fp;
-        if (nxt < 0) nxt += fp;
+        std::int64_t nxt = static_cast<std::int64_t>(cur) + s.stride_bytes;
+        if (nxt < 0 || nxt >= fp) {
+          nxt %= fp;
+          if (nxt < 0) nxt += fp;
+        }
         cur = static_cast<std::uint64_t>(nxt);
 
         const bool is_store = in.op == OpClass::kFxStore;

@@ -69,77 +69,40 @@ SignatureCache::SignatureCache(const CoreConfig& core_cfg,
       core_hash_(core_config_hash(core_cfg)),
       store_(std::move(store)) {
   if (store_.path.empty() || !store_.read) return;
-  std::lock_guard<std::mutex> lock(mu_);
   const SignatureStoreReport rep =
       load_signature_store(store_.path, core_hash_, by_hash_);
   stats_.store_loaded = rep.loaded;
   stats_.store_corrupt_lines = rep.corrupt_lines;
   stats_.store_rejected =
       rep.file_found && (!rep.core_hash_matched || rep.truncated);
-  publish_snapshot_locked();
 }
 
 const EventSignature& SignatureCache::get(const KernelDesc& kernel) {
-  const std::uint64_t h = kernel.content_hash();
-  // Level 1: the immutable snapshot, no lock.  After warm() this is the
-  // only path the campaign's serial scheduling phase takes for known
-  // kernels, and the only path at all that is safe to call concurrently.
-  const auto it = std::lower_bound(
-      snapshot_.begin(), snapshot_.end(), h,
-      [](const SnapshotEntry& e, std::uint64_t key) { return e.first < key; });
-  if (it != snapshot_.end() && it->first == h) {
-    snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *it->second;
+  const auto it = by_hash_.find(kernel.content_hash());
+  if (it != by_hash_.end()) {
+    ++stats_.hits;
+    return it->second;
   }
-  // Level 2: the overflow map, for kernels first seen after warm-up.
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto mit = by_hash_.find(h);
-  if (mit != by_hash_.end()) {
-    ++stats_.locked_hits;
-    return mit->second;
-  }
-  return measure_locked(h, kernel);
+  ++stats_.measured_on_demand;
+  return adopt(kernel, measure_quiet(core_cfg_, kernel));
 }
 
-const EventSignature& SignatureCache::measure_locked(
-    std::uint64_t hash, const KernelDesc& kernel) {
-  const QuietMeasurement m = measure_quiet(core_cfg_, kernel);
-  Power2Core::note_kernel_run(m.run, m.wall_us);
+const EventSignature& SignatureCache::adopt(const KernelDesc& kernel,
+                                            const QuietMeasurement& m) {
+  const auto [it, inserted] = by_hash_.emplace(kernel.content_hash(), m.sig);
+  P2SIM_CHECK(inserted, "adopt: the kernel must not be cached yet");
   ++stats_.measured;
   dirty_ = true;
-  return by_hash_.emplace(hash, m.sig).first->second;
-}
-
-void SignatureCache::warm(const std::vector<KernelDesc>& kernels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const KernelDesc& k : kernels) {
-    const std::uint64_t h = k.content_hash();
-    if (by_hash_.find(h) == by_hash_.end()) measure_locked(h, k);
-  }
-  publish_snapshot_locked();
-}
-
-void SignatureCache::publish_snapshot_locked() {
-  snapshot_.clear();
-  snapshot_.reserve(by_hash_.size());
-  for (const auto& [hash, sig] : by_hash_) snapshot_.emplace_back(hash, &sig);
-  // std::map iterates in key order, so the snapshot is already sorted for
-  // the binary search in get().
-}
-
-bool SignatureCache::contains(const KernelDesc& kernel) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_hash_.find(kernel.content_hash()) != by_hash_.end();
+  Power2Core::note_kernel_run(m.run, m.wall_us);
+  return it->second;
 }
 
 std::vector<KernelDesc> SignatureCache::plan_batch(
     const std::vector<KernelDesc>& kernels) const {
   std::vector<KernelDesc> plan;
   std::vector<std::uint64_t> planned;
-  std::lock_guard<std::mutex> lock(mu_);
   for (const KernelDesc& k : kernels) {
     const std::uint64_t h = k.content_hash();
-    // by_hash_ backs both cache levels, so one lookup covers them.
     if (by_hash_.find(h) != by_hash_.end()) continue;
     if (std::find(planned.begin(), planned.end(), h) != planned.end()) {
       continue;
@@ -150,45 +113,11 @@ std::vector<KernelDesc> SignatureCache::plan_batch(
   return plan;
 }
 
-void SignatureCache::adopt_batch(const std::vector<KernelDesc>& plan,
-                                 const std::vector<QuietMeasurement>& results) {
-  P2SIM_CHECK(plan.size() == results.size(),
-              "adopt_batch: one result per planned kernel");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (by_hash_.emplace(plan[i].content_hash(), results[i].sig).second) {
-        ++stats_.measured;
-        dirty_ = true;
-      }
-    }
-  }
-  // Replay the deferred kernel-run telemetry serially in plan order —
-  // first-appearance order, exactly where the on-demand path would have
-  // emitted each span on the engine timeline.
-  for (const QuietMeasurement& m : results) {
-    Power2Core::note_kernel_run(m.run, m.wall_us);
-  }
-}
-
 bool SignatureCache::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
   if (store_.path.empty() || !store_.write || !dirty_) return true;
   if (!save_signature_store(store_.path, core_hash_, by_hash_)) return false;
   dirty_ = false;
   return true;
-}
-
-std::size_t SignatureCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_hash_.size();
-}
-
-SignatureCache::Stats SignatureCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.snapshot_hits = snapshot_hits_.load(std::memory_order_relaxed);
-  return s;
 }
 
 void EventSignature::save_ckpt(util::CkptWriter& w) const {
@@ -204,7 +133,6 @@ void EventSignature::restore_ckpt(util::CkptReader& r) {
 }
 
 void SignatureCache::save_ckpt(util::CkptWriter& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
   w.put_u64(core_hash_);
   w.put_u64(by_hash_.size());
   for (const auto& [hash, sig] : by_hash_) {
@@ -215,7 +143,6 @@ void SignatureCache::save_ckpt(util::CkptWriter& w) const {
 }
 
 void SignatureCache::restore_ckpt(util::CkptReader& r) {
-  std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t hash = r.read_u64("sigcache.core_hash");
   if (hash != core_hash_) {
     throw util::CkptError("sigcache.core_hash: core config mismatch");
@@ -229,7 +156,6 @@ void SignatureCache::restore_ckpt(util::CkptReader& r) {
     by_hash_.emplace(h, s);
   }
   dirty_ = r.read_bool("sigcache.dirty");
-  publish_snapshot_locked();
 }
 
 }  // namespace p2sim::power2

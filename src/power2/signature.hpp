@@ -8,10 +8,8 @@
 // quantization the real RS2HPM daemon imposed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,97 +106,73 @@ struct SignatureStoreConfig {
 /// each is simulated once — or zero times when the persistent store
 /// already has it.
 ///
-/// Two-level design.  Level 1 is an immutable sorted snapshot, readable
-/// lock-free; it is (re)published only by the constructor's store load and
-/// by `warm()`, both setup-phase operations that must not race concurrent
-/// `get()` calls.  Level 2 is the mutex-guarded overflow map for kernels
-/// first seen after warm-up.  Entries are pointer-stable for the cache's
-/// lifetime in both levels, so callers may hold `const EventSignature*`
-/// across intervals.
+/// One ordered map, touched only by the campaign's serial phases: parallel
+/// measurement workers call the free function measure_quiet and never see
+/// the cache; their results enter it through adopt().  Entries are
+/// pointer-stable for the cache's lifetime (std::map nodes do not move),
+/// so callers may hold `const EventSignature*` across intervals.
 class SignatureCache {
  public:
   explicit SignatureCache(const CoreConfig& core_cfg = {},
                           SignatureStoreConfig store = {});
 
-  /// Returns the signature, measuring it on first use.
+  /// Returns the signature, measuring it on first use (an on-demand
+  /// measurement, counted in Stats::measured_on_demand).
   P2SIM_SERIAL_ONLY const EventSignature& get(const KernelDesc& kernel);
-
-  /// Pre-measures every kernel in `kernels` (skipping known ones) and
-  /// publishes the whole cache — store hits included — as the lock-free
-  /// snapshot.  Call once during driver setup, before worker threads run;
-  /// not safe concurrently with get().
-  P2SIM_SERIAL_ONLY void warm(const std::vector<KernelDesc>& kernels);
 
   /// Writes newly measured signatures back to the persistent store.
   /// Returns false when a configured write fails; true otherwise
   /// (including when persistence is disabled or nothing is dirty).
   P2SIM_SERIAL_ONLY bool flush();
 
-  /// True when the kernel's signature is already cached (either level).
-  bool contains(const KernelDesc& kernel) const;
-
   /// The core configuration measurements run under; workers pass it to
   /// measure_quiet so batch and on-demand measurement are interchangeable.
   const CoreConfig& core_config() const { return core_cfg_; }
 
-  /// Batched measurement, step 1 (serial): the sublist of `kernels` that
-  /// still needs measuring — unknown to the cache, deduplicated by content
-  /// hash, in first-appearance order.  The caller measures the plan's
-  /// entries with measure_quiet (typically in parallel) and hands the
-  /// results to adopt_batch.
+  /// Batched measurement, step 1: the sublist of `kernels` that still
+  /// needs measuring — unknown to the cache, deduplicated by content hash,
+  /// in first-appearance order.  The caller measures the plan's entries
+  /// with measure_quiet (typically in parallel) and hands each result to
+  /// adopt().
   P2SIM_SERIAL_ONLY std::vector<KernelDesc> plan_batch(
       const std::vector<KernelDesc>& kernels) const;
 
-  /// Batched measurement, step 2 (serial): adopts results[i] as the
-  /// signature of plan[i] and replays the deferred kernel-run telemetry in
-  /// plan order — the same order the on-demand path would have emitted it,
-  /// so exports stay byte-identical.
-  P2SIM_SERIAL_ONLY void adopt_batch(
-      const std::vector<KernelDesc>& plan,
-      const std::vector<QuietMeasurement>& results);
+  /// Batched measurement, step 2: adopts `m` as the signature of `kernel`
+  /// and replays its deferred kernel-run telemetry.  Adopting in the order
+  /// the on-demand path would have measured keeps exports byte-identical.
+  P2SIM_SERIAL_ONLY const EventSignature& adopt(const KernelDesc& kernel,
+                                                const QuietMeasurement& m);
 
-  std::size_t size() const;
+  std::size_t size() const { return by_hash_.size(); }
 
-  /// Observability for tests and benches (values are point-in-time).
+  /// Observability for tests, benches and campaign results.
   struct Stats {
-    std::uint64_t snapshot_hits = 0;  ///< lock-free level-1 hits
-    std::uint64_t locked_hits = 0;    ///< level-2 map hits under the mutex
-    std::uint64_t measured = 0;       ///< cold measurements actually run
-    std::uint64_t store_loaded = 0;   ///< entries adopted from disk
+    std::uint64_t hits = 0;      ///< get() calls served from the map
+    std::uint64_t measured = 0;  ///< measurements adopted or run by get()
+    /// The subset of `measured` that get() ran itself because nobody had
+    /// measured the kernel ahead of its first use.
+    std::uint64_t measured_on_demand = 0;
+    std::uint64_t store_loaded = 0;         ///< entries adopted from disk
     std::uint64_t store_corrupt_lines = 0;  ///< checksum/parse rejects
     bool store_rejected = false;  ///< whole store dropped (core-hash mismatch)
   };
-  Stats stats() const;
+  const Stats& stats() const { return stats_; }
 
   /// Checkpoint support: the measured/loaded signature set and the dirty
-  /// flag round-trip; restore republishes the lock-free snapshot.  The
-  /// restored cache then serves mid-campaign lookups exactly as the
-  /// original process would have (re-measurements are deterministic, so a
-  /// kernel first seen after the checkpoint re-measures identically).
+  /// flag round-trip.  The restored cache then serves mid-campaign lookups
+  /// exactly as the original process would have (re-measurements are
+  /// deterministic, so a kernel first seen after the checkpoint
+  /// re-measures identically).
   P2SIM_SERIAL_ONLY void save_ckpt(util::CkptWriter& w) const;
   P2SIM_SERIAL_ONLY void restore_ckpt(util::CkptReader& r);
 
  private:
-  using SnapshotEntry = std::pair<std::uint64_t, const EventSignature*>;
-
-  P2SIM_SERIAL_ONLY const EventSignature& measure_locked(
-      std::uint64_t hash, const KernelDesc& kernel);
-  P2SIM_SERIAL_ONLY void publish_snapshot_locked();
-
   CoreConfig core_cfg_;
   std::uint64_t core_hash_ = 0;
   SignatureStoreConfig store_;
-
-  /// Level 1: sorted by hash, binary-searched without taking mu_.
-  std::vector<SnapshotEntry> snapshot_;
-  mutable std::atomic<std::uint64_t> snapshot_hits_{0};
-
-  /// Level 2 (and backing storage for level 1 — std::map nodes are
-  /// pointer-stable under insertion).
-  mutable std::mutex mu_;
-  std::map<std::uint64_t, EventSignature> by_hash_ P2SIM_GUARDED_BY(mu_);
-  bool dirty_ P2SIM_GUARDED_BY(mu_) = false;
-  Stats stats_ P2SIM_GUARDED_BY(mu_){};
+  std::map<std::uint64_t, EventSignature> by_hash_;
+  bool dirty_ = false;
+  Stats stats_{};
 };
 
 }  // namespace p2sim::power2

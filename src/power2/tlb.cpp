@@ -3,8 +3,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "src/check/check.hpp"
-
 namespace p2sim::power2 {
 
 bool TlbConfig::valid() const {
@@ -20,41 +18,6 @@ Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg) {
   page_shift_ = static_cast<std::uint32_t>(
       std::countr_zero(static_cast<std::uint64_t>(cfg_.page_bytes)));
   entries_.resize(cfg_.entries);
-}
-
-bool Tlb::access(std::uint64_t addr) {
-  const std::uint64_t vpn = addr >> page_shift_;
-  const std::uint64_t set = vpn & set_mask_;
-  Entry* base = &entries_[set * cfg_.ways];
-  ++tick_;
-  ++accesses_;
-
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Entry& e = base[w];
-    if (e.valid && e.vpn == vpn) {
-      e.lru = tick_;
-      ++hits_;
-      P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                      "every TLB access is a hit or a miss");
-      return true;
-    }
-  }
-  ++misses_;
-  Entry* victim = base;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Entry& e = base[w];
-    if (!e.valid) {
-      victim = &e;
-      break;
-    }
-    if (e.lru < victim->lru) victim = &e;
-  }
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->lru = tick_;
-  P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                  "every TLB access is a hit or a miss");
-  return false;
 }
 
 void Tlb::flush() {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/check/annotate.hpp"
+#include "src/check/check.hpp"
 
 namespace p2sim::power2 {
 
@@ -25,7 +26,8 @@ class Tlb {
 
   /// Returns true on a hit; a miss installs the translation (LRU victim).
   /// Instance-local state only: safe on a worker-private core inside the
-  /// parallel measurement region.
+  /// parallel measurement region.  Defined below, in the header, so the
+  /// core's inner loop can inline it.
   P2SIM_PAR_SAFE bool access(std::uint64_t addr);
 
   void flush();
@@ -51,5 +53,40 @@ class Tlb {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
+
+inline bool Tlb::access(std::uint64_t addr) {
+  const std::uint64_t vpn = addr >> page_shift_;
+  const std::uint64_t set = vpn & set_mask_;
+  Entry* base = &entries_[set * cfg_.ways];
+  ++tick_;
+  ++accesses_;
+
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    Entry& e = base[w];
+    if (e.valid && e.vpn == vpn) {
+      e.lru = tick_;
+      ++hits_;
+      P2SIM_INVARIANT(hits_ + misses_ == accesses_,
+                      "every TLB access is a hit or a miss");
+      return true;
+    }
+  }
+  ++misses_;
+  Entry* victim = base;
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    Entry& e = base[w];
+    if (!e.valid) {
+      victim = &e;
+      break;
+    }
+    if (e.lru < victim->lru) victim = &e;
+  }
+  victim->valid = true;
+  victim->vpn = vpn;
+  victim->lru = tick_;
+  P2SIM_INVARIANT(hits_ + misses_ == accesses_,
+                  "every TLB access is a hit or a miss");
+  return false;
+}
 
 }  // namespace p2sim::power2

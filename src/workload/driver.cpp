@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -71,8 +70,8 @@ cluster::ActivityProfile WorkloadDriver::activity_for(
 
 /// Every piece of campaign state, constructed once per run().  The serial
 /// phases own all of it; the parallel phases touch only `lanes` (one lane
-/// per worker, statically sharded), the measurement plan slots, and the
-/// immutable inputs.
+/// per worker, statically sharded), the look-ahead measurement slots, and
+/// the immutable inputs.
 struct WorkloadDriver::CampaignState {
   /// One interval's fleet-wide probe results, tree-merged from the lanes'
   /// samples by the fold phase and consumed by the collect post-pass.
@@ -163,23 +162,21 @@ struct WorkloadDriver::CampaignState {
   rs2hpm::JobMonitor jobmon;
   cluster::NfsModel nfs;
 
-  /// Master RNG stream: owned by the serial arrivals/horizon phases
-  /// (demand walk, slumps, Poisson arrivals).  Never consulted per node —
-  /// per-node draws belong to the lanes' private streams.
+  /// Master RNG stream: owned by the serial arrivals phase (demand walk,
+  /// slumps, Poisson arrivals).  Never consulted per node — per-node draws
+  /// belong to the lanes' private streams.
   util::Xoshiro256StarStar rng;
   double demand_level = 1.0;
   int slump_days_left = 0;
   double slump_depth = 1.0;
 
-  /// Arrival frontier: Poisson counts the horizon scan pre-drew from the
-  /// master stream, in interval order, that the arrivals phase has not yet
-  /// consumed.  pending_arrivals[i] is the count for interval
-  /// pending_base + i; intervals below arrivals_drawn_until have had their
-  /// draw taken from the stream.  The frontier keeps the master stream's
-  /// draw sequence exactly one-per-interval in ascending order no matter
-  /// how intervals batch into passes, and it checkpoints with the stream.
-  std::deque<std::uint64_t> pending_arrivals;
-  std::int64_t pending_base = 0;
+  /// The current day's Poisson arrival counts, drawn from the master
+  /// stream at the day's first interval (right after the demand walk, in
+  /// interval order): day_arrivals[k] is the count for interval
+  /// day * kIntervalsPerDay + k.  Intervals below arrivals_drawn_until
+  /// have had their draw taken from the stream.
+  std::vector<std::uint64_t> day_arrivals =
+      std::vector<std::uint64_t>(util::kIntervalsPerDay, 0);
   std::int64_t arrivals_drawn_until = 0;
 
   fault::FaultInjector inject;
@@ -226,7 +223,16 @@ struct WorkloadDriver::CampaignState {
   /// their measurement plan) by the measure and launch phases.
   std::vector<pbs::StartEvent> starts;
   std::vector<power2::KernelDesc> measure_plan;
-  std::vector<power2::QuietMeasurement> measure_results;
+  /// Look-ahead measurement: the arrivals phase plans the kernels of every
+  /// job the day will submit that neither the cache nor `ahead` holds; the
+  /// measure phase measures them in one parallel batch into `ahead`, keyed
+  /// by content hash.  Results enter the cache only when a launch adopts
+  /// them, so the cache, the store and the telemetry never see a kernel
+  /// earlier than on-demand measurement would have.  Not checkpointed: a
+  /// resume plans the rest of its day again, and the results are pure
+  /// functions of (core config, kernel).
+  std::vector<power2::KernelDesc> ahead_plan;
+  std::map<std::uint64_t, power2::QuietMeasurement> ahead;
   /// This pass's extent: intervals [horizon_first, horizon_first + horizon).
   std::int64_t horizon = 1;
   std::int64_t horizon_first = 0;
@@ -246,12 +252,19 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
   w.put_f64(demand_level);
   w.put_i32(slump_days_left);
   w.put_f64(slump_depth);
-  // The arrival frontier travels with the master stream: draws the horizon
-  // scan already took must not be redrawn after a resume.
-  w.put_u64(pending_arrivals.size());
-  for (std::uint64_t c : pending_arrivals) w.put_u64(c);
-  w.put_i64(pending_base);
-  w.put_i64(arrivals_drawn_until);
+  // The day's drawn arrival counts travel with the master stream: draws
+  // already taken must not be redrawn after a resume.  Saved as the counts
+  // of [t + 1, arrivals_drawn_until), then their base and end.
+  const std::int64_t next_t = t + 1;
+  const std::int64_t day_first =
+      next_t / util::kIntervalsPerDay * util::kIntervalsPerDay;
+  const std::int64_t pending_end = std::max(next_t, arrivals_drawn_until);
+  w.put_u64(static_cast<std::uint64_t>(pending_end - next_t));
+  for (std::int64_t u = next_t; u < pending_end; ++u) {
+    w.put_u64(day_arrivals[static_cast<std::size_t>(u - day_first)]);
+  }
+  w.put_i64(next_t);
+  w.put_i64(pending_end);
   w.put_i64(jobs_dispatched);
   w.put_i64(jobs_completed);
   w.put_i64(jobs_requeued);
@@ -312,13 +325,24 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
   demand_level = r.read_f64("campaign.demand_level");
   slump_days_left = r.read_i32("campaign.slump_days_left");
   slump_depth = r.read_f64("campaign.slump_depth");
-  pending_arrivals.clear();
-  const std::uint64_t num_pending = r.read_u64("campaign.pending_arrivals");
-  for (std::uint64_t i = 0; i < num_pending; ++i) {
-    pending_arrivals.push_back(r.read_u64("campaign.pending_arrival"));
-  }
-  pending_base = r.read_i64("campaign.pending_base");
+  std::vector<std::uint64_t> pending(
+      static_cast<std::size_t>(r.read_u64("campaign.pending_arrivals")));
+  for (std::uint64_t& c : pending) c = r.read_u64("campaign.pending_arrival");
+  const std::int64_t pending_base = r.read_i64("campaign.pending_base");
   arrivals_drawn_until = r.read_i64("campaign.arrivals_drawn_until");
+  if (arrivals_drawn_until - pending_base !=
+          static_cast<std::int64_t>(pending.size()) ||
+      (!pending.empty() &&
+       (pending_base / util::kIntervalsPerDay !=
+        (arrivals_drawn_until - 1) / util::kIntervalsPerDay))) {
+    throw util::CkptError("campaign.pending_arrivals: not within one day");
+  }
+  std::fill(day_arrivals.begin(), day_arrivals.end(), 0);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    day_arrivals[static_cast<std::size_t>(
+        (pending_base + static_cast<std::int64_t>(i)) %
+        util::kIntervalsPerDay)] = pending[i];
+  }
   jobs_dispatched = r.read_i64("campaign.jobs_dispatched");
   jobs_completed = r.read_i64("campaign.jobs_completed");
   jobs_requeued = r.read_i64("campaign.jobs_requeued");
@@ -456,48 +480,68 @@ void WorkloadDriver::phase_faults(CampaignState& st) {
   }
 }
 
-void WorkloadDriver::phase_arrivals(CampaignState& st) {
-  // Intervals a previous pass advanced through had zero arrivals by
-  // construction (a nonzero pre-drawn count ends the horizon before it);
-  // retire their frontier entries.
-  while (st.pending_base < st.t && !st.pending_arrivals.empty()) {
-    P2SIM_CHECK(st.pending_arrivals.front() == 0,
-                "intervals drained inside a horizon must have zero arrivals");
-    st.pending_arrivals.pop_front();
-    ++st.pending_base;
+void WorkloadDriver::draw_day_arrivals(CampaignState& st) const {
+  const std::int64_t day_first = st.day * util::kIntervalsPerDay;
+  const std::int64_t day_end = day_first + util::kIntervalsPerDay;
+  const double lambda = arrival_lambda(st);
+  for (std::int64_t u = std::max(st.arrivals_drawn_until, day_first);
+       u < day_end; ++u) {
+    st.day_arrivals[static_cast<std::size_t>(u - day_first)] =
+        st.rng.poisson(lambda);
   }
+  st.arrivals_drawn_until = day_end;
+}
 
-  std::uint64_t arrivals = 0;
-  if (st.t < st.arrivals_drawn_until) {
-    // An earlier horizon scan already took this interval's Poisson draw
-    // from the master stream; consume it in order instead of redrawing.
-    P2SIM_CHECK(st.pending_base == st.t && !st.pending_arrivals.empty(),
-                "arrival frontier must cover the first undrained interval");
-    arrivals = st.pending_arrivals.front();
-    st.pending_arrivals.pop_front();
-    ++st.pending_base;
-  } else {
-    // Live path.  Demand process updates at day boundaries — pre-draws
-    // never cross a day, so day boundaries always land here.
-    if (st.t % util::kIntervalsPerDay == 0) {
-      st.demand_level = std::clamp(
-          cfg_.demand_walk_rho * st.demand_level +
-              st.rng.normal(1.0 - cfg_.demand_walk_rho,
-                            cfg_.demand_walk_noise *
-                                (1.0 - cfg_.demand_walk_rho) * 4.0),
-          cfg_.demand_min, cfg_.demand_max);
-      if (st.slump_days_left > 0) {
-        --st.slump_days_left;
-      } else if (st.rng.chance(cfg_.slump_prob_per_day)) {
-        st.slump_days_left = static_cast<int>(2 + st.rng.below(6));
-        st.slump_depth =
-            st.rng.uniform(cfg_.slump_depth_min, cfg_.slump_depth_max);
-      }
+void WorkloadDriver::plan_ahead(CampaignState& st) const {
+  // Whatever is already planned, then the kernels of the rest of the day's
+  // arrivals, from this interval on.
+  std::vector<power2::KernelDesc> kernels = std::move(st.ahead_plan);
+  st.ahead_plan.clear();
+  std::vector<double> submit_times;
+  for (std::int64_t u = st.t; u < st.arrivals_drawn_until; ++u) {
+    const std::uint64_t count =
+        st.day_arrivals[static_cast<std::size_t>(u % util::kIntervalsPerDay)];
+    for (std::uint64_t a = 0; a < count; ++a) {
+      submit_times.push_back(static_cast<double>(u) * st.interval_s);
     }
-    arrivals = st.rng.poisson(arrival_lambda(st));
-    st.arrivals_drawn_until = st.t + 1;
-    st.pending_base = st.t + 1;
   }
+  for (power2::KernelDesc& k : st.gen.peek_kernels(submit_times)) {
+    kernels.push_back(std::move(k));
+  }
+  for (power2::KernelDesc& k : st.signatures.plan_batch(kernels)) {
+    if (st.ahead.find(k.content_hash()) == st.ahead.end()) {
+      st.ahead_plan.push_back(std::move(k));
+    }
+  }
+}
+
+void WorkloadDriver::phase_arrivals(CampaignState& st) {
+  if (st.t % util::kIntervalsPerDay == 0) {
+    // The demand process updates at day boundaries; then the whole day's
+    // Poisson counts are drawn, in interval order — the master stream's
+    // draw sequence is the same as drawing each interval's count as it
+    // comes, because nothing else draws from it and the intensity is fixed
+    // for the day.  With the counts known, the day's job kernels are too
+    // (the generator depends only on its own stream and the submit time),
+    // so the measure phase can measure all of them in one batch.
+    st.demand_level = std::clamp(
+        cfg_.demand_walk_rho * st.demand_level +
+            st.rng.normal(1.0 - cfg_.demand_walk_rho,
+                          cfg_.demand_walk_noise *
+                              (1.0 - cfg_.demand_walk_rho) * 4.0),
+        cfg_.demand_min, cfg_.demand_max);
+    if (st.slump_days_left > 0) {
+      --st.slump_days_left;
+    } else if (st.rng.chance(cfg_.slump_prob_per_day)) {
+      st.slump_days_left = static_cast<int>(2 + st.rng.below(6));
+      st.slump_depth =
+          st.rng.uniform(cfg_.slump_depth_min, cfg_.slump_depth_max);
+    }
+    draw_day_arrivals(st);
+    plan_ahead(st);
+  }
+  const std::uint64_t arrivals =
+      st.day_arrivals[static_cast<std::size_t>(st.t % util::kIntervalsPerDay)];
   for (std::uint64_t a = 0; a < arrivals; ++a) {
     st.sched.submit(st.gen.next(st.now));
   }
@@ -517,22 +561,52 @@ void WorkloadDriver::phase_scheduling(CampaignState& st) {
 }
 
 void WorkloadDriver::phase_measure(CampaignState& st) {
-  st.measure_results.clear();
-  if (st.measure_plan.empty()) return;
-  st.measure_results.resize(st.measure_plan.size());
-  // Worker-private cores, results written by plan index: the measurement
-  // set and its adoption order are fixed by the serial plan, so neither
-  // thread count nor completion order can reorder anything observable.
-  const power2::CoreConfig& core_cfg = st.signatures.core_config();
-  const std::vector<power2::KernelDesc>& plan = st.measure_plan;
-  std::vector<power2::QuietMeasurement>& results = st.measure_results;
-  st.pool.run(plan.size(), [&plan, &results, &core_cfg](std::size_t begin,
-                                                        std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = power2::measure_quiet(core_cfg, plan[i]);
+  if (!st.ahead_plan.empty()) {
+    // The look-ahead batch on worker-private cores, each result written by
+    // plan index.  Largest estimated cost first (body size x iterations),
+    // dealt round-robin to the workers: placement shapes wall time only,
+    // since a measurement is a pure function of (core config, kernel).
+    const std::vector<power2::KernelDesc>& plan = st.ahead_plan;
+    const std::size_t n = plan.size();
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    const auto cost = [&plan](std::size_t i) {
+      return plan[i].body.size() *
+             (plan[i].warmup_iters + plan[i].measure_iters);
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&cost](std::size_t a, std::size_t b) {
+                       return cost(a) > cost(b);
+                     });
+    std::vector<power2::QuietMeasurement> results(n);
+    const power2::CoreConfig& core_cfg = st.signatures.core_config();
+    const auto workers = static_cast<std::size_t>(st.pool.threads());
+    st.pool.run(workers, [&plan, &results, &order, &core_cfg, n, workers](
+                             std::size_t begin, std::size_t end) {
+      for (std::size_t w = begin; w < end; ++w) {
+        for (std::size_t j = w; j < n; j += workers) {
+          results[order[j]] = power2::measure_quiet(core_cfg, plan[order[j]]);
+        }
+      }
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      st.ahead.emplace(plan[i].content_hash(), std::move(results[i]));
     }
-  });
-  st.signatures.adopt_batch(st.measure_plan, st.measure_results);
+    st.ahead_plan.clear();
+  }
+  // Adopt this pass's new kernels serially in start order — where the
+  // on-demand path would have measured them — so the cache, the store and
+  // the engine-timeline telemetry cannot tell the batch happened.  A
+  // kernel nobody measured ahead is measured on demand.
+  for (const power2::KernelDesc& k : st.measure_plan) {
+    const auto it = st.ahead.find(k.content_hash());
+    if (it == st.ahead.end()) {
+      st.signatures.get(k);
+      continue;
+    }
+    st.signatures.adopt(k, it->second);
+    st.ahead.erase(it);
+  }
   st.measure_plan.clear();
 }
 
@@ -618,21 +692,13 @@ void WorkloadDriver::phase_horizon(CampaignState& st) {
       }
     }
   }
-  // Arrival pre-draw: extend the frontier across the window in interval
-  // order — exactly the draws the per-interval loop would have made — and
-  // cut the pass before the first interval with arrivals.
-  const double lambda = arrival_lambda(st);
+  // Cut the pass before the next interval with arrivals (the window never
+  // crosses the day, whose counts the arrivals phase already drew).
   for (std::int64_t u = st.t + 1; u < st.t + cap; ++u) {
-    std::uint64_t count = 0;
-    if (u < st.arrivals_drawn_until) {
-      count = st.pending_arrivals[static_cast<std::size_t>(
-          u - st.pending_base)];
-    } else {
-      count = st.rng.poisson(lambda);
-      st.pending_arrivals.push_back(count);
-      st.arrivals_drawn_until = u + 1;
+    if (st.day_arrivals[static_cast<std::size_t>(
+            u % util::kIntervalsPerDay)] > 0) {
+      cap = u - st.t;
     }
-    if (count > 0) cap = u - st.t;
   }
   // Whole-interval cron misses per horizon offset (pure keyed queries);
   // the lanes' probes and the collect post-pass read the same bitmap.
@@ -976,20 +1042,23 @@ CampaignResult WorkloadDriver::run() {
   };
 
   const std::int64_t start_t = try_resume(st);
-  if (start_t == 0) {
-    // Warm the signature cache before the interval loop through the same
-    // batch pipeline the mid-campaign measure phase uses: plan the
-    // registered kernels serially, measure them in parallel on
-    // worker-private cores, adopt the results in plan order, then publish
-    // the lock-free snapshot (which also covers everything the persistent
-    // store contributed).  A resumed campaign restores the cache (and the
-    // lane probe baselines) from the checkpoint instead.
+  if (start_t > 0) {
+    // A resume rebuilds the look-ahead the checkpoint does not carry.  It
+    // plans every registered kernel the restored cache lacks (the queued
+    // jobs', submitted before the checkpoint) and, mid-day, the rest of
+    // the day's arrivals (a day start plans them in the arrivals phase).
+    // Counts the checkpoint did not carry are drawn first, in the order
+    // the day start would have drawn them.
     std::vector<power2::KernelDesc> kernels;
     st.registry.for_each(
         [&](const JobProfile& p) { kernels.push_back(p.kernel); });
-    st.measure_plan = st.signatures.plan_batch(kernels);
-    timed(Phase::kMeasure, &WorkloadDriver::phase_measure);
-    st.signatures.warm(kernels);
+    st.ahead_plan = st.signatures.plan_batch(kernels);
+    if (start_t % util::kIntervalsPerDay != 0) {
+      st.t = start_t;
+      st.day = start_t / util::kIntervalsPerDay;
+      draw_day_arrivals(st);
+      plan_ahead(st);
+    }
   }
 
   if (auto* tel = telemetry::current()) {
@@ -1055,6 +1124,7 @@ CampaignResult WorkloadDriver::run() {
     if (!r.has_prologue) ++st.result.jobs_open_sans_prologue;
   }
   st.result.faults = st.inject.log();
+  st.result.signature_stats = st.signatures.stats();
   // Persist newly measured signatures for the next run (no-op without a
   // configured store).  A failed write never fails the campaign — the
   // store is an accelerator, not a result.

@@ -147,6 +147,9 @@ struct CampaignResult {
   std::int64_t jobs_open_sans_prologue = 0;
   /// Ground truth of every fault injected into this campaign.
   fault::FaultLog faults;
+  /// The signature cache's counters at campaign end (this process only:
+  /// a resumed campaign counts from its resume).
+  power2::SignatureCache::Stats signature_stats;
 
   /// Machine utilization over the whole campaign (fraction of node-time
   /// servicing PBS jobs — the paper's 64%).
@@ -169,11 +172,11 @@ class WorkloadDriver {
   enum class Phase {
     kDayRollover,   ///< day-span telemetry rotation (serial)
     kFaults,        ///< reboots, crashes, kills, requeues (serial)
-    kArrivals,      ///< demand walk + Poisson submissions (serial)
-    kScheduling,    ///< PBS pass + batch measurement plan (serial)
-    kMeasure,       ///< cold kernel signatures (PARALLEL, private cores)
+    kArrivals,      ///< demand walk, day's counts + look-ahead plan (serial)
+    kScheduling,    ///< PBS pass + adoption plan of new kernels (serial)
+    kMeasure,       ///< look-ahead batch (PARALLEL) + adoption (serial)
     kLaunch,        ///< job binding + prologue snapshots (serial)
-    kHorizon,       ///< safe multi-interval horizon + arrival predraw (serial)
+    kHorizon,       ///< safe multi-interval horizon (serial)
     kNfsGrant,      ///< cluster-wide filesystem throttle (serial)
     kLanePipeline,  ///< per-lane advance + probe x horizon (PARALLEL)
     kFold,          ///< deterministic tree merge of lane outputs (serial)
@@ -241,13 +244,20 @@ class WorkloadDriver {
 
   /// The demand process's Poisson intensity for the current day.
   double arrival_lambda(const CampaignState& st) const;
+  /// Draws the current day's arrival counts not yet taken from the master
+  /// stream, in interval order, through the day's last interval.
+  P2SIM_SERIAL_ONLY void draw_day_arrivals(CampaignState& st) const;
+  /// Extends the look-ahead plan with the kernels of every job the rest of
+  /// the day will submit, keeping only kernels neither the cache nor an
+  /// earlier batch holds.  Never moves the generator, registry or stream.
+  P2SIM_SERIAL_ONLY void plan_ahead(CampaignState& st) const;
 
   P2SIM_SERIAL_ONLY void phase_day_rollover(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_faults(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_arrivals(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_scheduling(CampaignState& st);
-  /// Parallel: measures the scheduling pass's batch plan on
-  /// worker-private cores; plan selection and adoption stay serial.
+  /// Parallel: measures the look-ahead batch on worker-private cores,
+  /// then adopts the scheduling pass's new kernels serially.
   void phase_measure(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_launch(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_horizon(CampaignState& st);

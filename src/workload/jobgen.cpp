@@ -8,7 +8,7 @@
 namespace p2sim::workload {
 
 JobGenerator::JobGenerator(const JobGenConfig& cfg, ProfileRegistry& registry)
-    : cfg_(cfg), registry_(registry), rng_(cfg.seed) {
+    : cfg_(cfg), registry_(&registry), rng_(cfg.seed) {
   if (cfg_.node_choices.size() != cfg_.node_weights.size() ||
       cfg_.node_choices.empty()) {
     throw std::invalid_argument("node choice/weight mismatch");
@@ -193,8 +193,21 @@ pbs::JobSpec JobGenerator::next(double submit_time_s) {
     prof.msg_bytes_per_s *= prof.duty_cycle;
   }
   spec.memory_mb_per_node = prof.memory_mb_per_node;
-  spec.profile_id = registry_.add(std::move(prof));
+  spec.profile_id = registry_->add(std::move(prof));
   return spec;
+}
+
+std::vector<power2::KernelDesc> JobGenerator::peek_kernels(
+    const std::vector<double>& submit_times_s) const {
+  ProfileRegistry scratch;
+  JobGenerator ahead = *this;
+  ahead.registry_ = &scratch;
+  std::vector<power2::KernelDesc> kernels;
+  kernels.reserve(submit_times_s.size());
+  for (double t : submit_times_s) {
+    kernels.push_back(scratch.get(ahead.next(t).profile_id).kernel);
+  }
+  return kernels;
 }
 
 void JobGenerator::save_ckpt(util::CkptWriter& w) const {

@@ -87,6 +87,13 @@ class JobGenerator {
   /// Draws the next job, submitted at `submit_time_s`.
   pbs::JobSpec next(double submit_time_s);
 
+  /// The kernels that next() would register for submissions at each of
+  /// `submit_times_s`, in order.  A copy of this generator draws them
+  /// into a scratch registry, so neither this generator's stream nor its
+  /// registry moves: next() afterwards returns exactly the jobs peeked.
+  std::vector<power2::KernelDesc> peek_kernels(
+      const std::vector<double>& submit_times_s) const;
+
   std::int64_t jobs_generated() const { return next_job_id_ - 1; }
   const JobGenConfig& config() const { return cfg_; }
 
@@ -104,7 +111,7 @@ class JobGenerator {
   void update_episode(double submit_time_s);
 
   JobGenConfig cfg_;
-  ProfileRegistry& registry_;
+  ProfileRegistry* registry_;  ///< never null; a pointer so peeks can copy
   util::Xoshiro256StarStar rng_;
   std::int64_t next_job_id_ = 1;
   std::int32_t next_user_ = 0;

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/analysis/record_io.hpp"
 #include "src/archive/convert.hpp"
 #include "src/archive/reader.hpp"
@@ -28,11 +30,17 @@ void spill(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-/// Scratch paths under the test temp dir, removed on destruction.
+/// Scratch paths under the test temp dir, removed on destruction.  The
+/// names carry the test name and the pid: ctest runs each test in its own
+/// process, in parallel, and fixed names would let them clobber each
+/// other's files.
 struct Scratch {
   std::string intervals, jobs, archive, intervals2, jobs2, archive2;
   Scratch() {
-    const std::string base = testing::TempDir() + "p2sim_convert_";
+    const std::string base =
+        testing::TempDir() + "p2sim_convert_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+        std::to_string(::getpid()) + "_";
     intervals = base + "i.rec";
     jobs = base + "j.rec";
     archive = base + "a.p2a";

@@ -71,9 +71,8 @@ TEST(SignatureStore, RoundTripIsBitIdentical) {
   EXPECT_EQ(reader.get(kernel_a()), sig_a);
   EXPECT_EQ(reader.get(kernel_b()), sig_b);
   EXPECT_EQ(reader.stats().measured, 0u);
-  // The constructor published the loaded entries as the lock-free
-  // snapshot, so both lookups were level-1 hits.
-  EXPECT_EQ(reader.stats().snapshot_hits, 2u);
+  // The constructor loaded both entries, so both lookups were hits.
+  EXPECT_EQ(reader.stats().hits, 2u);
 
   std::remove(path.c_str());
 }
@@ -162,8 +161,8 @@ TEST(SignatureStore, WriteDisabledLeavesNoFile) {
   EXPECT_FALSE(probe.good());
 }
 
-TEST(SignatureStore, WarmPublishesStoreAndMeasurements) {
-  const std::string path = temp_store("p2sim_store_warm.txt");
+TEST(SignatureStore, FlushPersistsStoreAndMeasurements) {
+  const std::string path = temp_store("p2sim_store_union.txt");
 
   {
     SignatureCache writer({}, {.path = path});
@@ -172,18 +171,19 @@ TEST(SignatureStore, WarmPublishesStoreAndMeasurements) {
   }
 
   SignatureCache cache({}, {.path = path});
-  cache.warm({kernel_a(), kernel_b()});
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().measured, 1u);  // only kernel_b was missing
-
-  // Post-warm lookups are lock-free snapshot hits for both the
-  // store-loaded and the freshly measured kernel.
-  const std::uint64_t before = cache.stats().snapshot_hits;
   cache.get(kernel_a());
   cache.get(kernel_b());
-  const SignatureCache::Stats after = cache.stats();
-  EXPECT_EQ(after.snapshot_hits, before + 2);
-  EXPECT_EQ(after.locked_hits, 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().measured, 1u);  // only kernel_b was missing
+  EXPECT_EQ(cache.stats().measured_on_demand, 1u);
+
+  // Later lookups are hits for both the store-loaded and the freshly
+  // measured kernel.
+  const std::uint64_t before = cache.stats().hits;
+  cache.get(kernel_a());
+  cache.get(kernel_b());
+  EXPECT_EQ(cache.stats().hits, before + 2);
+  EXPECT_EQ(cache.stats().measured, 1u);
 
   // flush() persists the union; a third cache sees both without measuring.
   ASSERT_TRUE(cache.flush());

@@ -1029,15 +1029,15 @@ def self_test() -> int:
     scenario(
         "manifest: undeclared memory order fails",
         lambda tmp: edit(
-            tmp, "src/power2/signature.cpp",
-            "snapshot_hits_.fetch_add(1, std::memory_order_relaxed)",
-            "snapshot_hits_.fetch_add(1, std::memory_order_seq_cst)"),
+            tmp, "src/telemetry/metrics.cpp",
+            "g_metrics_created.fetch_add(1, std::memory_order_relaxed)",
+            "g_metrics_created.fetch_add(1, std::memory_order_seq_cst)"),
         "does not list for it")
     scenario(
         "manifest: dropped P2SIM_GUARDED_BY fails",
         lambda tmp: edit(
-            tmp, "src/power2/signature.hpp",
-            " P2SIM_GUARDED_BY(mu_)", "", count=1),
+            tmp, "src/telemetry/session.hpp",
+            " P2SIM_GUARDED_BY(live_mu_)", "", count=1),
         "carries no P2SIM_GUARDED_BY")
 
     # family 4: RNG stream discipline ----------------------------------
