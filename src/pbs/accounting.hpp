@@ -74,20 +74,13 @@ class JobDatabase {
   double time_weighted_mflops_per_node(
       double min_walltime_s = kMinAnalyzedWalltimeS) const;
 
-  /// Checkpoint support: every accumulated record round-trips.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_u64(records_.size());
-    for (const JobRecord& rec : records_) rec.save_ckpt(w);
+  /// Checkpoint journal support: the database is append-only, so it is
+  /// carried entirely by journal sections (the records from `from` on).
+  void save_journal(util::CkptWriter& w, std::size_t from) const {
+    util::save_journal_section(w, records_, from);
   }
-  void restore_ckpt(util::CkptReader& r) {
-    records_.clear();
-    std::uint64_t n = r.read_u64("job_db.size");
-    records_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      JobRecord rec;
-      rec.restore_ckpt(r);
-      records_.push_back(std::move(rec));
-    }
+  void replay_journal(util::CkptReader& r) {
+    util::replay_journal_section(r, records_, "job_db.records");
   }
 
  private:

@@ -71,6 +71,7 @@ SignatureCache::SignatureCache(const CoreConfig& core_cfg,
   if (store_.path.empty() || !store_.read) return;
   const SignatureStoreReport rep =
       load_signature_store(store_.path, core_hash_, by_hash_);
+  for (const auto& [hash, sig] : by_hash_) order_.push_back(hash);
   stats_.store_loaded = rep.loaded;
   stats_.store_corrupt_lines = rep.corrupt_lines;
   stats_.store_rejected =
@@ -91,6 +92,7 @@ const EventSignature& SignatureCache::adopt(const KernelDesc& kernel,
                                             const QuietMeasurement& m) {
   const auto [it, inserted] = by_hash_.emplace(kernel.content_hash(), m.sig);
   P2SIM_CHECK(inserted, "adopt: the kernel must not be cached yet");
+  order_.push_back(it->first);
   ++stats_.measured;
   dirty_ = true;
   Power2Core::note_kernel_run(m.run, m.wall_us);
@@ -134,11 +136,6 @@ void EventSignature::restore_ckpt(util::CkptReader& r) {
 
 void SignatureCache::save_ckpt(util::CkptWriter& w) const {
   w.put_u64(core_hash_);
-  w.put_u64(by_hash_.size());
-  for (const auto& [hash, sig] : by_hash_) {
-    w.put_u64(hash);
-    sig.save_ckpt(w);
-  }
   w.put_bool(dirty_);
 }
 
@@ -147,15 +144,32 @@ void SignatureCache::restore_ckpt(util::CkptReader& r) {
   if (hash != core_hash_) {
     throw util::CkptError("sigcache.core_hash: core config mismatch");
   }
-  by_hash_.clear();
-  std::uint64_t n = r.read_u64("sigcache.size");
+  dirty_ = r.read_bool("sigcache.dirty");
+}
+
+void SignatureCache::save_journal(util::CkptWriter& w,
+                                  std::size_t from) const {
+  w.put_u64(from);
+  w.put_u64(order_.size() - from);
+  for (std::size_t i = from; i < order_.size(); ++i) {
+    w.put_u64(order_[i]);
+    by_hash_.at(order_[i]).save_ckpt(w);
+  }
+}
+
+void SignatureCache::replay_journal(util::CkptReader& r) {
+  if (util::journal_section_restarts(r.read_u64("sigcache.entries"),
+                                     order_.size(), "sigcache.entries")) {
+    by_hash_.clear();
+    order_.clear();
+  }
+  const std::uint64_t n = r.read_u64("sigcache.entries");
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t h = r.read_u64("sigcache.hash");
+    const std::uint64_t h = r.read_u64("sigcache.hash");
     EventSignature s;
     s.restore_ckpt(r);
-    by_hash_.emplace(h, s);
+    if (by_hash_.emplace(h, s).second) order_.push_back(h);
   }
-  dirty_ = r.read_bool("sigcache.dirty");
 }
 
 }  // namespace p2sim::power2

@@ -162,15 +162,25 @@ class SignatureCache {
   /// flag round-trip.  The restored cache then serves mid-campaign lookups
   /// exactly as the original process would have (re-measurements are
   /// deterministic, so a kernel first seen after the checkpoint
-  /// re-measures identically).
+  /// re-measures identically).  The entries are append-only, so they
+  /// travel in the checkpoint journal in insertion order: save_journal
+  /// writes the entries from the `from`-th on, replay_journal appends one
+  /// such section (a section from entry 0 replaces the whole set, store
+  /// loads included); save_ckpt/restore_ckpt carry the rest.
   P2SIM_SERIAL_ONLY void save_ckpt(util::CkptWriter& w) const;
   P2SIM_SERIAL_ONLY void restore_ckpt(util::CkptReader& r);
+  P2SIM_SERIAL_ONLY void save_journal(util::CkptWriter& w,
+                                      std::size_t from) const;
+  P2SIM_SERIAL_ONLY void replay_journal(util::CkptReader& r);
 
  private:
   CoreConfig core_cfg_;
   std::uint64_t core_hash_ = 0;
   SignatureStoreConfig store_;
   std::map<std::uint64_t, EventSignature> by_hash_;
+  /// by_hash_'s keys in insertion order (store load, then adoption): the
+  /// order the checkpoint journal carries the entries in.
+  std::vector<std::uint64_t> order_;
   bool dirty_ = false;
   Stats stats_{};
 };

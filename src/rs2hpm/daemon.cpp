@@ -124,12 +124,15 @@ void SamplingDaemon::ingest(const IntervalRecord& rec, int unreachable,
 }
 
 void SamplingDaemon::save_ckpt(util::CkptWriter& w) const {
+  // A node's baseline is live only once primed (priming overwrites it and
+  // nothing unprimes a node), so unprimed nodes save just the flag.
   w.put_u64(prev_.size());
-  for (const ModeTotals& t : prev_) t.save_ckpt(w);
-  for (std::uint64_t q : prev_quads_) w.put_u64(q);
-  for (std::uint8_t p : primed_) w.put_u8(p);
-  w.put_u64(records_.size());
-  for (const IntervalRecord& rec : records_) rec.save_ckpt(w);
+  for (std::size_t i = 0; i < prev_.size(); ++i) {
+    w.put_u8(primed_[i]);
+    if (primed_[i] == 0) continue;
+    prev_[i].save_ckpt(w);
+    w.put_u64(prev_quads_[i]);
+  }
   w.put_i64(total_reprimes_);
   w.put_i64(total_unreachable_);
 }
@@ -139,13 +142,14 @@ void SamplingDaemon::restore_ckpt(util::CkptReader& r) {
   if (n != prev_.size()) {
     throw util::CkptError("daemon.num_nodes: node count mismatch");
   }
-  for (ModeTotals& t : prev_) t.restore_ckpt(r);
-  for (std::uint64_t& q : prev_quads_) q = r.read_u64("daemon.prev_quad");
-  for (std::uint8_t& p : primed_) p = r.read_u8("daemon.primed");
-  records_.clear();
-  std::uint64_t nr = r.read_u64("daemon.records_size");
-  records_.resize(static_cast<std::size_t>(nr));
-  for (IntervalRecord& rec : records_) rec.restore_ckpt(r);
+  for (std::size_t i = 0; i < prev_.size(); ++i) {
+    primed_[i] = r.read_u8("daemon.primed");
+    prev_[i] = ModeTotals{};
+    prev_quads_[i] = 0;
+    if (primed_[i] == 0) continue;
+    prev_[i].restore_ckpt(r);
+    prev_quads_[i] = r.read_u64("daemon.prev_quad");
+  }
   total_reprimes_ = r.read_i64("daemon.total_reprimes");
   total_unreachable_ = r.read_i64("daemon.total_unreachable");
 }

@@ -106,10 +106,18 @@ class SamplingDaemon {
   std::int64_t total_reprimes() const { return total_reprimes_; }
   std::int64_t total_unreachable() const { return total_unreachable_; }
 
-  /// Checkpoint support: per-node baselines, primed flags, the collected
-  /// record stream and the lifetime degradation tallies.
+  /// Checkpoint support: primed flags, the primed nodes' baselines and
+  /// the lifetime degradation tallies.  The append-only record stream travels
+  /// in the checkpoint journal instead: save_journal writes the records
+  /// from index `from` on, replay_journal appends one such section.
   void save_ckpt(util::CkptWriter& w) const;
   void restore_ckpt(util::CkptReader& r);
+  void save_journal(util::CkptWriter& w, std::size_t from) const {
+    util::save_journal_section(w, records_, from);
+  }
+  void replay_journal(util::CkptReader& r) {
+    util::replay_journal_section(r, records_, "daemon.records");
+  }
 
  private:
   std::vector<ModeTotals> prev_;

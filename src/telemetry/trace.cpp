@@ -1,8 +1,10 @@
 #include "src/telemetry/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 namespace p2sim::telemetry {
@@ -42,6 +44,21 @@ void append_value(std::string& out, double v) {
   out += buf;
 }
 
+void save_event(util::CkptWriter& w, const TraceEvent& ev) {
+  w.put_str(ev.category);
+  w.put_str(ev.name);
+  w.put_f64(ev.sim_begin_s);
+  w.put_f64(ev.sim_end_s);
+  w.put_i64(ev.wall_begin_us);
+  w.put_i64(ev.wall_end_us);
+  w.put_i32(ev.depth);
+  w.put_u64(ev.args.size());
+  for (const TraceEvent::Arg& a : ev.args) {
+    w.put_str(a.key);
+    w.put_f64(a.value);
+  }
+}
+
 }  // namespace
 
 Tracer::Tracer(std::size_t max_events) : max_events_(max_events) {}
@@ -62,12 +79,20 @@ std::size_t Tracer::begin(const char* category, const char* name,
   ev.wall_end_us = ev.wall_begin_us;
   ev.depth = depth_;
   events_.push_back(std::move(ev));
+  open_.push_back(events_.size());
   return events_.size();  // index + 1
 }
 
 void Tracer::end(std::size_t handle, double sim_end_s) {
   if (depth_ > 0) --depth_;
   if (handle == 0 || handle > events_.size()) return;
+  // Spans nearly always end innermost-first, so search from the back.
+  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+    if (*it == handle) {
+      open_.erase(std::next(it).base());
+      break;
+    }
+  }
   TraceEvent& ev = events_[handle - 1];
   ev.sim_end_s = sim_end_s;
   ev.wall_end_us = wall_now_us();
@@ -123,49 +148,66 @@ const char* Tracer::intern(const std::string& s) {
   return interned_.back().c_str();
 }
 
-void Tracer::save_ckpt(util::CkptWriter& w) const {
+std::size_t Tracer::settled() const {
+  std::size_t n = events_.size();
+  for (std::size_t handle : open_) n = std::min(n, handle - 1);
+  return n;
+}
+
+void Tracer::append_event(util::CkptReader& r) {
+  TraceEvent ev;
+  ev.category = intern(r.read_str("tracer.category"));
+  ev.name = intern(r.read_str("tracer.name"));
+  ev.sim_begin_s = r.read_f64("tracer.sim_begin");
+  ev.sim_end_s = r.read_f64("tracer.sim_end");
+  ev.wall_begin_us = r.read_i64("tracer.wall_begin");
+  ev.wall_end_us = r.read_i64("tracer.wall_end");
+  ev.depth = r.read_i32("tracer.event_depth");
+  std::uint64_t na = r.read_u64("tracer.num_args");
+  for (std::uint64_t j = 0; j < na; ++j) {
+    const char* key = intern(r.read_str("tracer.arg_key"));
+    ev.args.push_back({key, r.read_f64("tracer.arg_value")});
+  }
+  events_.push_back(std::move(ev));
+}
+
+void Tracer::save_ckpt(util::CkptWriter& w, std::size_t journaled) const {
   w.put_u64(dropped_);
   w.put_i32(depth_);
-  w.put_u64(events_.size());
-  for (const TraceEvent& ev : events_) {
-    w.put_str(ev.category);
-    w.put_str(ev.name);
-    w.put_f64(ev.sim_begin_s);
-    w.put_f64(ev.sim_end_s);
-    w.put_i64(ev.wall_begin_us);
-    w.put_i64(ev.wall_end_us);
-    w.put_i32(ev.depth);
-    w.put_u64(ev.args.size());
-    for (const TraceEvent::Arg& a : ev.args) {
-      w.put_str(a.key);
-      w.put_f64(a.value);
-    }
+  w.put_u64(open_.size());
+  for (std::size_t handle : open_) w.put_u64(handle);
+  w.put_u64(events_.size() - journaled);
+  for (std::size_t i = journaled; i < events_.size(); ++i) {
+    save_event(w, events_[i]);
   }
 }
 
 void Tracer::restore_ckpt(util::CkptReader& r) {
   dropped_ = r.read_u64("tracer.dropped");
   depth_ = r.read_i32("tracer.depth");
-  events_.clear();
-  std::uint64_t n = r.read_u64("tracer.events");
-  events_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    TraceEvent ev;
-    ev.category = intern(r.read_str("tracer.category"));
-    ev.name = intern(r.read_str("tracer.name"));
-    ev.sim_begin_s = r.read_f64("tracer.sim_begin");
-    ev.sim_end_s = r.read_f64("tracer.sim_end");
-    ev.wall_begin_us = r.read_i64("tracer.wall_begin");
-    ev.wall_end_us = r.read_i64("tracer.wall_end");
-    ev.depth = r.read_i32("tracer.event_depth");
-    std::uint64_t na = r.read_u64("tracer.num_args");
-    ev.args.reserve(static_cast<std::size_t>(na));
-    for (std::uint64_t j = 0; j < na; ++j) {
-      const char* key = intern(r.read_str("tracer.arg_key"));
-      ev.args.push_back({key, r.read_f64("tracer.arg_value")});
-    }
-    events_.push_back(std::move(ev));
+  open_.clear();
+  const std::uint64_t num_open = r.read_u64("tracer.open_spans");
+  for (std::uint64_t i = 0; i < num_open; ++i) {
+    open_.push_back(static_cast<std::size_t>(r.read_u64("tracer.open_span")));
   }
+  const std::uint64_t n = r.read_u64("tracer.events");
+  for (std::uint64_t i = 0; i < n; ++i) append_event(r);
+}
+
+void Tracer::save_journal(util::CkptWriter& w, std::size_t from) const {
+  const std::size_t to = settled();
+  w.put_u64(from);
+  w.put_u64(to - from);
+  for (std::size_t i = from; i < to; ++i) save_event(w, events_[i]);
+}
+
+void Tracer::replay_journal(util::CkptReader& r) {
+  if (util::journal_section_restarts(r.read_u64("tracer.events"),
+                                     events_.size(), "tracer.events")) {
+    events_.clear();
+  }
+  const std::uint64_t n = r.read_u64("tracer.events");
+  for (std::uint64_t i = 0; i < n; ++i) append_event(r);
 }
 
 Span::Span(Tracer* tracer, const char* category, const char* name,

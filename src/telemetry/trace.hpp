@@ -77,17 +77,32 @@ class Tracer {
   /// identical campaigns.
   std::string chrome_trace_json(bool include_wall = true) const;
 
+  /// The number of leading events no open span can change any more (all
+  /// of them while no span is open): the prefix the checkpoint journal may
+  /// carry, since end() and arg() only ever touch an open span's event.
+  std::size_t settled() const;
+
   /// Checkpoint support: the recorded event stream round-trips (wall-clock
   /// fields included, faithfully — they stay segregated in the export).
   /// Restored category/name/key strings are interned in an owned pool, so
   /// the string-literal lifetime contract still holds for future spans.
-  void save_ckpt(util::CkptWriter& w) const;
+  /// The settled prefix travels in the checkpoint journal (save_journal
+  /// writes events [from, settled()), replay_journal appends one such
+  /// section); save_ckpt writes the counters, the open spans and the
+  /// events from `journaled` on, and restore_ckpt appends those after the
+  /// replayed journal.
+  void save_ckpt(util::CkptWriter& w, std::size_t journaled) const;
   void restore_ckpt(util::CkptReader& r);
+  void save_journal(util::CkptWriter& w, std::size_t from) const;
+  void replay_journal(util::CkptReader& r);
 
  private:
   const char* intern(const std::string& s);
+  void append_event(util::CkptReader& r);
 
   std::vector<TraceEvent> events_;
+  /// Handles of the spans begun and not yet ended, oldest first.
+  std::vector<std::size_t> open_;
   std::size_t max_events_;
   std::uint64_t dropped_ = 0;
   int depth_ = 0;

@@ -113,6 +113,18 @@ bool write_all(int fd, std::string_view data) {
 
 }  // namespace
 
+bool journal_section_restarts(std::uint64_t from, std::size_t have,
+                              const char* what) {
+  if (from == 0) return true;
+  if (from != have) {
+    std::ostringstream os;
+    os << "checkpoint field '" << what << "': journal section starts at "
+       << "entry " << from << " but " << have << " entries precede it";
+    throw CkptError(os.str());
+  }
+  return false;
+}
+
 bool write_file_durable(const std::string& path, std::string_view data,
                         std::string* error) {
   const std::string tmp = path + ".tmp";

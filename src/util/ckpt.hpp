@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace p2sim::util {
 
@@ -107,6 +108,40 @@ class CkptReader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+/// Journal sections (the append-only half of a campaign checkpoint, see
+/// src/workload/checkpoint.hpp): an append-only collection journals only
+/// what it gained since the previous frame, as a section holding its first
+/// entry index, a count and the entries.  Returns whether a section that
+/// starts at `from` restarts the collection: a journal's first frame starts
+/// every section at 0 and replaces whatever the collection held, and every
+/// later section must continue exactly where the entries replayed so far
+/// end (`have`).  Throws CkptError naming `what` otherwise.
+bool journal_section_restarts(std::uint64_t from, std::size_t have,
+                              const char* what);
+
+/// Writes the section of `items` from index `from` on.
+template <typename T>
+void save_journal_section(CkptWriter& w, const std::vector<T>& items,
+                          std::size_t from) {
+  w.put_u64(from);
+  w.put_u64(items.size() - from);
+  for (std::size_t i = from; i < items.size(); ++i) items[i].save_ckpt(w);
+}
+
+/// Appends one section written by save_journal_section to `items`.
+template <typename T>
+void replay_journal_section(CkptReader& r, std::vector<T>& items,
+                            const char* what) {
+  if (journal_section_restarts(r.read_u64(what), items.size(), what)) {
+    items.clear();
+  }
+  const std::uint64_t n = r.read_u64(what);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    items.emplace_back();
+    items.back().restore_ckpt(r);
+  }
+}
 
 /// Durable whole-file replacement: temp file + fsync + atomic rename +
 /// directory fsync.  Returns true on success; on failure returns false and,

@@ -18,11 +18,19 @@
 namespace p2sim::workload {
 namespace {
 
-/// Container magic: version bumps rename the last byte, so an old binary
+/// Generation magic: version bumps rename the last byte, so an old binary
 /// rejects a new checkpoint with "bad magic" instead of misparsing it.
-constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '2'};
-constexpr std::size_t kHeaderSize = 48;
-constexpr std::size_t kHeaderChecksumOffset = 40;
+constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '3'};
+/// Generation header: magic, config hash, resume interval, journal bytes,
+/// journal chain, payload size, payload checksum, header checksum.
+constexpr std::size_t kHeaderSize = 64;
+constexpr std::size_t kHeaderChecksumOffset = 56;
+
+/// Journal header: magic, config hash.  Each frame that follows is
+/// [u64 length][u64 fnv1a64_words(payload)][payload].
+constexpr char kJournalMagic[8] = {'P', '2', 'S', 'I', 'M', 'J', 'N', '1'};
+constexpr std::size_t kJournalHeaderSize = 16;
+constexpr std::size_t kFrameHeaderSize = 16;
 
 CheckpointTestHook g_test_hook = nullptr;
 
@@ -68,6 +76,34 @@ bool write_all(int fd, std::string_view data) {
   return true;
 }
 
+bool read_all(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  return ok;
+}
+
+void fsync_dir(const std::string& dir) {
+  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
+  }
+}
+
+/// The journal's hash chain: each frame's checksum folds into the chain
+/// value of the prefix before it.
+std::uint64_t chain_step(std::uint64_t chain, std::uint64_t frame_sum) {
+  std::string buf;
+  put_le64(buf, chain);
+  put_le64(buf, frame_sum);
+  return util::fnv1a64_words(buf);
+}
+
 /// Fingerprint helper: the fields stream through a CkptWriter (typed,
 /// little-endian, length-prefixed strings) and the byte stream is hashed,
 /// so two configs collide only by hash collision, never by ambiguous
@@ -86,6 +122,75 @@ class FingerprintSink {
  private:
   util::CkptWriter w_;
 };
+
+/// A fresh journal's header bytes, and the position just past them.
+std::string encode_journal_header(std::uint64_t config_hash) {
+  std::string out(kJournalMagic, sizeof kJournalMagic);
+  put_le64(out, config_hash);
+  return out;
+}
+
+JournalPos journal_start(std::uint64_t config_hash) {
+  return {kJournalHeaderSize,
+          util::fnv1a64(encode_journal_header(config_hash))};
+}
+
+/// Verifies the journal prefix a generation stands on and returns its
+/// frames; throws util::CkptError at the first damage.
+std::vector<JournalFrame> verify_journal_prefix(std::string_view journal,
+                                                std::uint64_t config_hash,
+                                                JournalPos pos) {
+  if (journal.size() < pos.bytes) {
+    fail_at("journal_bytes", journal.size(),
+            "journal shorter than the generation's prefix (truncated "
+            "journal)");
+  }
+  if (pos.bytes < kJournalHeaderSize) {
+    fail_at("journal_bytes", 0, "prefix shorter than the journal header");
+  }
+  if (std::memcmp(journal.data(), kJournalMagic, sizeof kJournalMagic) != 0) {
+    fail_at("journal.magic", 0,
+            "bad journal magic (not a p2sim journal, or a different "
+            "container version)");
+  }
+  if (get_le64(journal, 8) != config_hash) {
+    fail_at("journal.config_hash", 8,
+            "journal fingerprint mismatch (journal belongs to a different "
+            "campaign configuration)");
+  }
+  std::vector<JournalFrame> frames;
+  std::uint64_t chain = util::fnv1a64(journal.substr(0, kJournalHeaderSize));
+  std::size_t off = kJournalHeaderSize;
+  while (off < pos.bytes) {
+    if (pos.bytes - off < kFrameHeaderSize) {
+      fail_at("frame.header", off,
+              "frame header overruns the generation's prefix");
+    }
+    const std::uint64_t len = get_le64(journal, off);
+    const std::uint64_t sum = get_le64(journal, off + 8);
+    if (len > pos.bytes - off - kFrameHeaderSize) {
+      fail_at("frame.length", off,
+              "frame length overruns the generation's prefix (torn or "
+              "corrupted frame)");
+    }
+    const JournalFrame frame{off + kFrameHeaderSize,
+                             static_cast<std::size_t>(len)};
+    if (util::fnv1a64_words(journal.substr(frame.offset, frame.size)) !=
+        sum) {
+      fail_at("frame.checksum", off + 8,
+              "frame checksum mismatch (torn or corrupted frame)");
+    }
+    frames.push_back(frame);
+    chain = chain_step(chain, sum);
+    off = frame.offset + frame.size;
+  }
+  if (chain != pos.chain) {
+    fail_at("journal_chain", pos.bytes,
+            "hash chain mismatch (the journal was rewritten after the "
+            "generation was written)");
+  }
+  return frames;
+}
 
 }  // namespace
 
@@ -194,14 +299,17 @@ std::uint64_t config_fingerprint(const DriverConfig& cfg) {
 
 std::string encode_checkpoint_file(std::uint64_t config_hash,
                                    std::int64_t resume_interval,
+                                   JournalPos journal,
                                    std::string_view payload) {
   std::string out;
   out.reserve(kHeaderSize + payload.size());
   out.append(kMagic, sizeof kMagic);
   put_le64(out, config_hash);
   put_le64(out, std::bit_cast<std::uint64_t>(resume_interval));
+  put_le64(out, journal.bytes);
+  put_le64(out, journal.chain);
   put_le64(out, payload.size());
-  put_le64(out, util::fnv1a64(payload));
+  put_le64(out, util::fnv1a64_words(payload));
   put_le64(out, util::fnv1a64(
                     std::string_view(out.data(), kHeaderChecksumOffset)));
   out.append(payload.data(), payload.size());
@@ -210,7 +318,7 @@ std::string encode_checkpoint_file(std::uint64_t config_hash,
 
 CheckpointImage decode_checkpoint_file(std::string_view bytes) {
   if (bytes.size() < kHeaderSize) {
-    fail_at("header", bytes.size(), "file shorter than the 48-byte header");
+    fail_at("header", bytes.size(), "file shorter than the 64-byte header");
   }
   if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
     fail_at("magic", 0, "bad magic (not a p2sim checkpoint, or a "
@@ -228,22 +336,36 @@ CheckpointImage decode_checkpoint_file(std::string_view bytes) {
   img.config_hash = get_le64(bytes, 8);
   img.resume_interval =
       std::bit_cast<std::int64_t>(get_le64(bytes, 16));
-  const std::uint64_t payload_size = get_le64(bytes, 24);
-  const std::uint64_t payload_sum = get_le64(bytes, 32);
+  img.journal_pos.bytes = get_le64(bytes, 24);
+  img.journal_pos.chain = get_le64(bytes, 32);
+  const std::uint64_t payload_size = get_le64(bytes, 40);
+  const std::uint64_t payload_sum = get_le64(bytes, 48);
   if (img.resume_interval < 0) {
     fail_at("resume_interval", 16, "negative resume interval");
   }
   if (payload_size != bytes.size() - kHeaderSize) {
-    fail_at("payload_size", 24,
+    fail_at("payload_size", 40,
             "payload size disagrees with file size (truncated write)");
   }
   const std::string_view payload = bytes.substr(kHeaderSize);
-  if (util::fnv1a64(payload) != payload_sum) {
+  if (util::fnv1a64_words(payload) != payload_sum) {
     fail_at("payload_checksum", kHeaderSize,
             "payload checksum mismatch (torn or corrupted payload)");
   }
   img.payload.assign(payload.data(), payload.size());
   return img;
+}
+
+std::string encode_journal_frame(std::string_view payload, JournalPos* pos) {
+  const std::uint64_t sum = util::fnv1a64_words(payload);
+  std::string out;
+  out.reserve(kFrameHeaderSize + payload.size());
+  put_le64(out, payload.size());
+  put_le64(out, sum);
+  out.append(payload.data(), payload.size());
+  pos->bytes += out.size();
+  pos->chain = chain_step(pos->chain, sum);
+  return out;
 }
 
 std::string checkpoint_file_name(std::int64_t resume_interval) {
@@ -269,13 +391,97 @@ std::vector<std::string> list_checkpoints(const std::string& dir) {
   return names;
 }
 
+JournalWriter::~JournalWriter() { close(); }
+
+void JournalWriter::close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+bool JournalWriter::start(const std::string& dir, std::uint64_t config_hash,
+                          std::string* error) {
+  close();
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  for (const std::string& name : list_checkpoints(dir)) {
+    ::unlink((dir + "/" + name).c_str());
+  }
+  path_ = dir + "/" + kJournalFile;
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd_ < 0) {
+    set_error(error, path_, "open");
+    return false;
+  }
+  if (!write_all(fd_, encode_journal_header(config_hash)) ||
+      ::fsync(fd_) != 0) {
+    set_error(error, path_, "write");
+    close();
+    return false;
+  }
+  fsync_dir(dir);
+  pos_ = journal_start(config_hash);
+  return true;
+}
+
+bool JournalWriter::resume(const std::string& dir, const CheckpointImage& img,
+                           std::string* error) {
+  close();
+  const std::string newest = checkpoint_file_name(img.resume_interval);
+  for (const std::string& name : list_checkpoints(dir)) {
+    if (name > newest) ::unlink((dir + "/" + name).c_str());
+  }
+  path_ = dir + "/" + kJournalFile;
+  fd_ = ::open(path_.c_str(), O_WRONLY);
+  if (fd_ < 0) {
+    set_error(error, path_, "open");
+    return false;
+  }
+  if (::ftruncate(fd_, static_cast<off_t>(img.journal_pos.bytes)) != 0 ||
+      ::fsync(fd_) != 0) {
+    set_error(error, path_, "truncate");
+    close();
+    return false;
+  }
+  fsync_dir(dir);
+  pos_ = img.journal_pos;
+  return true;
+}
+
+bool JournalWriter::append(std::string_view payload, std::int64_t tick_value,
+                           std::string* error) {
+  if (fd_ < 0) {
+    if (error != nullptr) *error = path_ + ": journal is not open";
+    return false;
+  }
+  JournalPos next = pos_;
+  const std::string frame = encode_journal_frame(payload, &next);
+  // Two half-writes with a test tick between them, like the generation
+  // write: the kill harness tears the frame, and the loader must ignore
+  // the torn tail because no committed generation references it.
+  const std::string_view data(frame);
+  bool ok = ::lseek(fd_, static_cast<off_t>(pos_.bytes), SEEK_SET) >= 0 &&
+            write_all(fd_, data.substr(0, data.size() / 2));
+  checkpoint_test_tick("journal-mid-append", tick_value);
+  ok = ok && write_all(fd_, data.substr(data.size() / 2)) &&
+       ::fsync(fd_) == 0;
+  if (!ok) {
+    set_error(error, path_, "append");
+    if (::ftruncate(fd_, static_cast<off_t>(pos_.bytes)) != 0) close();
+    return false;
+  }
+  pos_ = next;
+  checkpoint_test_tick("journal-appended", tick_value);
+  return true;
+}
+
 bool write_checkpoint(const std::string& dir, std::uint64_t config_hash,
-                      std::int64_t resume_interval, std::string_view payload,
-                      int keep, std::string* error) {
+                      std::int64_t resume_interval, JournalPos journal,
+                      std::string_view payload, int keep,
+                      std::string* error) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   const std::string data =
-      encode_checkpoint_file(config_hash, resume_interval, payload);
+      encode_checkpoint_file(config_hash, resume_interval, journal, payload);
   const std::string path = dir + "/" + checkpoint_file_name(resume_interval);
   const std::string tmp = path + ".tmp";
 
@@ -315,11 +521,7 @@ bool write_checkpoint(const std::string& dir, std::uint64_t config_hash,
     ::unlink(tmp.c_str());
     return false;
   }
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  fsync_dir(dir);
   checkpoint_test_tick("ckpt-committed", resume_interval);
 
   // Prune beyond `keep` generations, oldest first.  Pruning failures are
@@ -337,25 +539,20 @@ bool write_checkpoint(const std::string& dir, std::uint64_t config_hash,
 std::optional<CheckpointImage> load_latest_checkpoint(
     const std::string& dir, std::uint64_t config_hash, ResumeReport* report) {
   if (report != nullptr) report->attempted = true;
+  const auto reject = [report](const std::string& why) {
+    if (report != nullptr) report->rejected.push_back(why);
+  };
+  // The journal is read once, on the first generation that needs it.
+  std::string journal;
+  std::string journal_error;
+  bool journal_read = false;
   std::vector<std::string> names = list_checkpoints(dir);
   for (auto it = names.rbegin(); it != names.rend(); ++it) {
     const std::string path = dir + "/" + *it;
     std::string bytes;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      if (f == nullptr) {
-        if (report != nullptr) {
-          report->rejected.push_back(path + ": unreadable: " +
-                                     std::strerror(errno));
-        }
-        continue;
-      }
-      char buf[1 << 16];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        bytes.append(buf, n);
-      }
-      std::fclose(f);
+    if (!read_all(path, &bytes)) {
+      reject(path + ": unreadable: " + std::strerror(errno));
+      continue;
     }
     try {
       CheckpointImage img = decode_checkpoint_file(bytes);
@@ -364,16 +561,29 @@ std::optional<CheckpointImage> load_latest_checkpoint(
                 "config fingerprint mismatch (checkpoint belongs to a "
                 "different campaign configuration)");
       }
+      if (!journal_read) {
+        journal_read = true;
+        const std::string journal_path = dir + "/" + kJournalFile;
+        if (!read_all(journal_path, &journal)) {
+          journal_error = journal_path + " unreadable: " +
+                          std::strerror(errno);
+        }
+      }
+      if (!journal_error.empty()) {
+        throw util::CkptError("journal: " + journal_error);
+      }
+      img.frames = verify_journal_prefix(journal, config_hash,
+                                         img.journal_pos);
       if (report != nullptr) {
         report->resumed = true;
         report->resume_interval = img.resume_interval;
         report->loaded_path = path;
       }
+      img.journal = std::move(journal);
+      img.journal.resize(static_cast<std::size_t>(img.journal_pos.bytes));
       return img;
     } catch (const util::CkptError& e) {
-      if (report != nullptr) {
-        report->rejected.push_back(path + ": " + e.what());
-      }
+      reject(path + ": " + e.what());
     }
   }
   return std::nullopt;

@@ -1,16 +1,29 @@
-// Crash-consistent campaign checkpoints: the durable container format.
+// Crash-consistent campaign checkpoints: the durable on-disk formats.
 //
-// A checkpoint file carries the complete deterministic campaign state at
-// an interval boundary, so a killed campaign resumes bit-identically to
-// the uninterrupted run (tests/workload/crash_recovery_test.cpp holds the
-// fingerprint oracle).  This module owns the *container*: a fixed 48-byte
-// header (magic, config fingerprint, resume interval, payload size, two
-// FNV-1a/64 checksums) followed by the opaque payload the driver's
-// serializers produce.  Torn-write safety comes from the write protocol —
-// write to `<name>.tmp`, fsync, atomically rename, fsync the directory —
-// plus generations: the newest `keep` checkpoints survive pruning, and a
-// corrupt newest generation falls back to the previous one with the
-// rejection reason reported, never silently.
+// A checkpoint carries the complete deterministic campaign state at an
+// interval boundary, so a killed campaign resumes bit-identically to the
+// uninterrupted run (tests/workload/crash_recovery_test.cpp holds the
+// fingerprint oracle).  The state is split in two, the way RS2HPM's daemon
+// appended each interval's deltas once and never rewrote them:
+//
+//   * the *journal* (`journal.p2cj`, one per checkpoint directory) holds
+//     the append-only collections — interval records, job records, job
+//     profiles, signatures, trace events.  Each checkpoint appends one
+//     frame with what they gained since the previous frame, so every
+//     record is written once;
+//   * a *generation* (`ckpt-<interval>.p2ck`) holds only the live state
+//     plus the length of the journal prefix it stands on and a hash chain
+//     over that prefix's frame checksums.  Its size does not grow with
+//     campaign length.
+//
+// This module owns both containers; the payloads are opaque streams the
+// driver's serializers produce.  Torn-write safety comes from the write
+// order — append the frame and fsync the journal, then write the
+// generation to `<name>.tmp`, fsync, atomically rename, fsync the
+// directory — plus generations: the newest `keep` survive pruning (they
+// share the journal, each standing on a prefix of it), and a corrupt
+// newest generation, or one whose journal prefix is damaged, falls back to
+// the previous one with the rejection reason reported, never silently.
 //
 // The config fingerprint hashes every determinism-relevant DriverConfig
 // field (and none of the wall-clock-only knobs: threads, observer, the
@@ -24,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/check/annotate.hpp"
 #include "src/util/ckpt.hpp"
 
 namespace p2sim::workload {
@@ -59,9 +73,10 @@ struct CheckpointConfig {
 };
 
 /// Test seam for the kill-injection harness: when installed, the driver
-/// and the checkpoint writer announce progress points ("interval-end",
-/// "ckpt-mid-write", "ckpt-pre-rename", "ckpt-committed") and the harness
-/// raises SIGKILL at a scheduled one.  A plain function pointer on the
+/// and the checkpoint writers announce progress points ("interval-end",
+/// "journal-mid-append", "journal-appended", "ckpt-mid-write",
+/// "ckpt-pre-rename", "ckpt-committed") and the harness raises SIGKILL at
+/// a scheduled one.  A plain function pointer on the
 /// serial path — never consulted from worker threads.
 using CheckpointTestHook = void (*)(const char* point, std::int64_t value);
 void set_checkpoint_test_hook(CheckpointTestHook hook);
@@ -73,23 +88,60 @@ void checkpoint_test_tick(const char* point, std::int64_t value);
 /// loader refuses checkpoints whose fingerprint differs.
 std::uint64_t config_fingerprint(const DriverConfig& cfg);
 
-/// A validated, decoded checkpoint.
+/// Where a generation's journal prefix ends: its length in bytes and the
+/// hash chain over the checksums of the frames it holds.  A fresh journal
+/// (header only) has its own length and a chain seeded from its header.
+struct JournalPos {
+  std::uint64_t bytes = 0;
+  std::uint64_t chain = 0;
+};
+
+/// The journal file inside a checkpoint directory.
+inline constexpr const char* kJournalFile = "journal.p2cj";
+
+/// One frame's payload inside CheckpointImage::journal.
+struct JournalFrame {
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+/// A validated, decoded checkpoint: one generation plus the verified
+/// journal prefix it stands on.
 struct CheckpointImage {
   std::uint64_t config_hash = 0;
   /// First interval the resumed loop must execute (state covers [0, this)).
   std::int64_t resume_interval = 0;
+  JournalPos journal_pos;
+  /// The generation's live state.
   std::string payload;
+  /// The journal prefix [0, journal_pos.bytes) and its frames, oldest
+  /// first (empty when decoded from a generation alone).
+  std::string journal;
+  std::vector<JournalFrame> frames;
+
+  std::string_view frame(std::size_t i) const {
+    return std::string_view(journal).substr(frames[i].offset,
+                                            frames[i].size);
+  }
 };
 
-/// Serializes header + payload into the on-disk byte stream.
+/// Serializes a generation's header + payload into its on-disk bytes.
 std::string encode_checkpoint_file(std::uint64_t config_hash,
                                    std::int64_t resume_interval,
+                                   JournalPos journal,
                                    std::string_view payload);
 
-/// Validates and decodes a checkpoint byte stream.  Throws util::CkptError
-/// naming the offending field and offset on any malformation: bad magic,
-/// truncation anywhere, a header or payload checksum mismatch.
+/// Validates and decodes a generation's bytes (the journal fields are
+/// decoded, not checked against a journal).  Throws util::CkptError naming
+/// the offending field and offset on any malformation: bad magic or an
+/// older container version, truncation anywhere, a header or payload
+/// checksum mismatch.
 CheckpointImage decode_checkpoint_file(std::string_view bytes);
+
+/// Serializes one journal frame (length, checksum, payload) and advances
+/// `pos` past it: its length grows and the frame's checksum enters the
+/// chain.
+std::string encode_journal_frame(std::string_view payload, JournalPos* pos);
 
 /// Generation file name for a checkpoint taken after `resume_interval`
 /// intervals: zero-padded so lexicographic order is interval order.
@@ -99,19 +151,66 @@ std::string checkpoint_file_name(std::int64_t resume_interval);
 /// (in-flight `*.tmp` files are ignored).  Missing directory = empty.
 std::vector<std::string> list_checkpoints(const std::string& dir);
 
-/// Durably writes one checkpoint generation (temp + fsync + rename +
-/// directory fsync) and prunes generations beyond `keep`.  Announces
-/// "ckpt-mid-write" / "ckpt-pre-rename" / "ckpt-committed" to the test
-/// hook.  Returns false with `*error` set on failure; a failed write
-/// leaves existing generations untouched.
+/// Appends frames durably to a checkpoint directory's journal.  Serial
+/// state: the driver touches it only from its checkpoint and resume paths.
+class JournalWriter {
+ public:
+  JournalWriter() = default;
+  JournalWriter(const JournalWriter&) = delete;
+  JournalWriter& operator=(const JournalWriter&) = delete;
+  ~JournalWriter();
+
+  /// Starts a fresh journal in `dir` (created if missing).  Stale
+  /// generations go first, then the old journal is replaced by a durable
+  /// header, so no generation can ever point into a journal it did not
+  /// write.  Returns false with `*error` set on failure.
+  P2SIM_SERIAL_ONLY bool start(const std::string& dir,
+                               std::uint64_t config_hash, std::string* error);
+  /// Reopens the journal a resumed generation stands on: generations
+  /// newer than `img` are removed (the resume rejected them) and the
+  /// journal is cut back to `img.journal_pos`, discarding a torn tail or
+  /// frames no committed generation references.
+  P2SIM_SERIAL_ONLY bool resume(const std::string& dir,
+                                const CheckpointImage& img,
+                                std::string* error);
+  /// Appends one frame and fsyncs the journal, announcing
+  /// "journal-mid-append" halfway through the write and "journal-appended"
+  /// after the fsync (both with `tick_value`).  On failure the journal is
+  /// cut back to its previous length, or closed when even that fails.
+  P2SIM_SERIAL_ONLY bool append(std::string_view payload,
+                                std::int64_t tick_value, std::string* error);
+
+  bool is_open() const { return fd_ >= 0; }
+  /// The end of the last frame appended (or of the header).
+  JournalPos pos() const { return pos_; }
+
+ private:
+  void close();
+
+  int fd_ = -1;
+  std::string path_;
+  JournalPos pos_;
+};
+
+/// Durably writes one generation (temp + fsync + rename + directory
+/// fsync) standing on the journal prefix `journal`, and prunes generations
+/// beyond `keep`.  Announces "ckpt-mid-write" / "ckpt-pre-rename" /
+/// "ckpt-committed" to the test hook.  Returns false with `*error` set on
+/// failure; a failed write leaves existing generations untouched.
 bool write_checkpoint(const std::string& dir, std::uint64_t config_hash,
-                      std::int64_t resume_interval, std::string_view payload,
-                      int keep, std::string* error);
+                      std::int64_t resume_interval, JournalPos journal,
+                      std::string_view payload, int keep,
+                      std::string* error);
 
 /// Loads the newest valid checkpoint whose fingerprint matches
 /// `config_hash`, walking generations newest-first and recording every
-/// rejection (with its reason) in `report`.  Returns nullopt when no
-/// generation validates — the caller then runs from the beginning.
+/// rejection (with its reason) in `report`: a damaged generation, a
+/// foreign fingerprint, or a damaged or missing journal prefix (the
+/// header, every frame's length and checksum, and the hash chain are
+/// verified; bytes beyond the prefix, such as a torn append, are
+/// ignored).  Read-only.
+/// Returns nullopt when no generation validates — the caller then runs
+/// from the beginning.
 std::optional<CheckpointImage> load_latest_checkpoint(
     const std::string& dir, std::uint64_t config_hash, ResumeReport* report);
 

@@ -130,13 +130,30 @@ struct WorkloadDriver::CampaignState {
   NodeLane& lane(int n) { return lanes[static_cast<std::size_t>(n)]; }
   cluster::Node& node(int n) { return lane(n).node; }
 
-  /// Serializes every accumulated campaign quantity at an interval
-  /// boundary (per-pass scratch and the worker pool are excluded: the next
-  /// pass rewrites them).  The restore side re-resolves the
-  /// profile/signature pointers and rebuilds node_job, then demands the
-  /// stream be fully consumed.
+  /// How much of each append-only collection the checkpoint journal holds.
+  struct JournalMarks {
+    std::size_t intervals = 0;     ///< daemon interval records
+    std::size_t jobs = 0;          ///< accounting job records
+    std::size_t profiles = 0;      ///< registered job profiles
+    std::size_t codes = 0;         ///< the generator's code assignments
+    std::size_t signatures = 0;    ///< signature cache entries
+    std::size_t trace_events = 0;  ///< settled trace events (telemetry on)
+  };
+
+  /// Serializes the live campaign state at an interval boundary plus the
+  /// journal marks (per-pass scratch and the worker pool are excluded: the
+  /// next pass rewrites them; the append-only collections travel in the
+  /// journal).  The restore side runs after the journal prefix has been
+  /// replayed: it checks the replayed collections against the marks,
+  /// re-resolves the profile/signature pointers and rebuilds node_job,
+  /// then demands the stream be fully consumed.
   void save_ckpt(util::CkptWriter& w) const;
   void restore_ckpt(util::CkptReader& r);
+  /// Writes one journal frame: what each append-only collection gained
+  /// since `journaled`.  Returns the marks the frame advances them to.
+  JournalMarks save_journal_frame(util::CkptWriter& w) const;
+  /// Appends one journal frame's entries to the collections.
+  void replay_journal_frame(util::CkptReader& r);
 
   /// Snapshot spans over the nodes a job holds (prologue/epilogue input).
   std::pair<std::vector<rs2hpm::ModeTotals>, std::vector<std::uint64_t>>
@@ -203,6 +220,13 @@ struct WorkloadDriver::CampaignState {
   std::size_t archived_intervals = 0;
   std::size_t archived_jobs = 0;
 
+  // --- the checkpoint journal (serial-phase property) --------------------
+  /// Touched only by maybe_checkpoint and the resume path.  Closed until
+  /// the first checkpoint (which starts a fresh journal) or a resume
+  /// (which reopens the loaded generation's prefix).
+  JournalWriter journal;
+  JournalMarks journaled;
+
   // --- the parallel substrate --------------------------------------------
   std::vector<NodeLane> lanes;
   util::TaskPool pool;
@@ -247,6 +271,12 @@ struct WorkloadDriver::CampaignState {
 };
 
 void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
+  w.put_u64(journaled.intervals);
+  w.put_u64(journaled.jobs);
+  w.put_u64(journaled.profiles);
+  w.put_u64(journaled.codes);
+  w.put_u64(journaled.signatures);
+  w.put_u64(journaled.trace_events);
   w.put_i64(t);
   rng.save_ckpt(w);
   w.put_f64(demand_level);
@@ -301,7 +331,6 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
     w.put_i32(r.attempt);
   }
   w.put_f64(result.total_busy_node_seconds);
-  result.jobs.save_ckpt(w);
   // Telemetry rides along as a nested length-prefixed blob so a session
   // without telemetry can skip it wholesale (the blob is still read, so
   // the stream stays in sync).
@@ -312,14 +341,69 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
     if (tel != nullptr) {
       nested.put_f64(tel->engine_clock_s);
       tel->registry.save_ckpt(nested);
-      tel->tracer.save_ckpt(nested);
+      tel->tracer.save_ckpt(nested, journaled.trace_events);
     }
     w.put_str(nested.bytes());
   }
   day_span.save_ckpt(w);
 }
 
+WorkloadDriver::CampaignState::JournalMarks
+WorkloadDriver::CampaignState::save_journal_frame(util::CkptWriter& w) const {
+  daemon.save_journal(w, journaled.intervals);
+  result.jobs.save_journal(w, journaled.jobs);
+  registry.save_journal(w, journaled.profiles);
+  gen.save_journal(w, journaled.codes);  // after the profiles it names
+  signatures.save_journal(w, journaled.signatures);
+  JournalMarks next{daemon.records().size(), result.jobs.size(),
+                    registry.size(),         gen.code_assignments(),
+                    signatures.size(),       0};
+  // Trace events ride in a nested blob, as in save_ckpt.
+  const telemetry::Session* tel = telemetry::current();
+  w.put_bool(tel != nullptr);
+  util::CkptWriter nested;
+  if (tel != nullptr) {
+    tel->tracer.save_journal(nested, journaled.trace_events);
+    next.trace_events = tel->tracer.settled();
+  }
+  w.put_str(nested.bytes());
+  return next;
+}
+
+void WorkloadDriver::CampaignState::replay_journal_frame(
+    util::CkptReader& r) {
+  daemon.replay_journal(r);
+  result.jobs.replay_journal(r);
+  registry.replay_journal(r);
+  gen.replay_journal(r);
+  signatures.replay_journal(r);
+  const bool saved_telemetry = r.read_bool("journal.has_telemetry");
+  const std::string blob = r.read_str("journal.telemetry_blob");
+  if (telemetry::Session* tel = telemetry::current();
+      saved_telemetry && tel != nullptr) {
+    util::CkptReader nested(blob);
+    tel->tracer.replay_journal(nested);
+    nested.expect_end("journal.telemetry_blob");
+  }
+  r.expect_end("journal frame");
+}
+
 void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
+  journaled.intervals = r.read_u64("campaign.journaled_intervals");
+  journaled.jobs = r.read_u64("campaign.journaled_jobs");
+  journaled.profiles = r.read_u64("campaign.journaled_profiles");
+  journaled.codes = r.read_u64("campaign.journaled_codes");
+  journaled.signatures = r.read_u64("campaign.journaled_signatures");
+  journaled.trace_events = r.read_u64("campaign.journaled_trace_events");
+  if (daemon.records().size() != journaled.intervals ||
+      result.jobs.size() != journaled.jobs ||
+      registry.size() != journaled.profiles ||
+      gen.code_assignments() != journaled.codes ||
+      signatures.size() != journaled.signatures) {
+    throw util::CkptError(
+        "campaign.journaled: the journal prefix and the generation "
+        "disagree on the append-only collection sizes");
+  }
   t = r.read_i64("campaign.t");
   rng.restore_ckpt(r);
   demand_level = r.read_f64("campaign.demand_level");
@@ -400,11 +484,15 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
     }
   }
   result.total_busy_node_seconds = r.read_f64("campaign.busy_node_seconds");
-  result.jobs.restore_ckpt(r);
   telemetry::Session* tel = telemetry::current();
   const bool saved_telemetry = r.read_bool("campaign.has_telemetry");
   const std::string blob = r.read_str("campaign.telemetry_blob");
   if (saved_telemetry && tel != nullptr) {
+    if (tel->tracer.events().size() != journaled.trace_events) {
+      throw util::CkptError(
+          "campaign.journaled_trace_events: the journal prefix and the "
+          "generation disagree on the trace event count");
+    }
     util::CkptReader nested(blob);
     tel->engine_clock_s = nested.read_f64("campaign.engine_clock_s");
     tel->registry.restore_ckpt(nested);
@@ -971,8 +1059,19 @@ std::int64_t WorkloadDriver::try_resume(CampaignState& st) {
     std::fprintf(stderr, "p2sim: checkpoint rejected: %s\n", why.c_str());
   }
   if (!img.has_value()) return 0;
+  for (std::size_t i = 0; i < img->frames.size(); ++i) {
+    util::CkptReader r(img->frame(i));
+    st.replay_journal_frame(r);
+  }
   util::CkptReader r(img->payload);
   st.restore_ckpt(r);
+  // Appends continue from the loaded prefix; a failure here only means
+  // the next checkpoint starts a fresh journal.
+  std::string error;
+  if (!st.journal.resume(ck.dir, *img, &error)) {
+    std::fprintf(stderr, "p2sim: checkpoint journal reopen failed: %s\n",
+                 error.c_str());
+  }
   return img->resume_interval;
 }
 
@@ -984,11 +1083,29 @@ void WorkloadDriver::maybe_checkpoint(CampaignState& st) {
   if (next_t % ck.every_intervals != 0 || next_t >= st.total_intervals) {
     return;
   }
-  util::CkptWriter w;
-  st.save_ckpt(w);
+  // Journal first, then the generation that stands on it: the frame
+  // carries what the append-only collections gained since the previous
+  // frame, the generation only the live state.
+  const std::uint64_t fingerprint = config_fingerprint(cfg_);
   std::string error;
-  if (write_checkpoint(ck.dir, config_fingerprint(cfg_), next_t, w.bytes(),
-                       ck.keep, &error)) {
+  bool ok = true;
+  if (!st.journal.is_open()) {
+    st.journaled = {};
+    ok = st.journal.start(ck.dir, fingerprint, &error);
+  }
+  if (ok) {
+    util::CkptWriter frame;
+    const CampaignState::JournalMarks next = st.save_journal_frame(frame);
+    ok = st.journal.append(frame.bytes(), next_t, &error);
+    if (ok) st.journaled = next;
+  }
+  if (ok) {
+    util::CkptWriter w;
+    st.save_ckpt(w);
+    ok = write_checkpoint(ck.dir, fingerprint, next_t, st.journal.pos(),
+                          w.bytes(), ck.keep, &error);
+  }
+  if (ok) {
     if (auto* tel = telemetry::current()) {
       tel->registry
           .counter("p2sim_ckpt_writes_total",

@@ -276,11 +276,15 @@ class WorkloadDriver {
 
   /// Called from run() after each interval's phases: announces the
   /// interval to the kill-injection hook and, at the configured cadence,
-  /// writes one durable checkpoint generation.  A failed write logs and
+  /// appends one journal frame and writes one durable checkpoint
+  /// generation on it (the first checkpoint of a fresh run starts the
+  /// journal, removing stale generations).  A failed write logs and
   /// counts — it never fails the campaign.
   P2SIM_SERIAL_ONLY void maybe_checkpoint(CampaignState& st);
-  /// Attempts a resume from DriverConfig::checkpoint.  Returns the first
-  /// interval the loop must execute (0 when starting fresh).
+  /// Attempts a resume from DriverConfig::checkpoint: replays the newest
+  /// valid generation's journal prefix, restores its live state and
+  /// reopens the journal at that prefix.  Returns the first interval the
+  /// loop must execute (0 when starting fresh).
   P2SIM_SERIAL_ONLY std::int64_t try_resume(CampaignState& st);
 
   DriverConfig cfg_;

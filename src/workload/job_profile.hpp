@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -138,17 +140,30 @@ class ProfileRegistry {
     for (const auto& [id, profile] : profiles_) f(profile);
   }
 
-  /// Checkpoint support: profiles keep their ids and the id counter
-  /// continues where it left off.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_i64(next_id_);
-    w.put_u64(profiles_.size());
-    for (const auto& [id, profile] : profiles_) profile.save_ckpt(w);
-  }
+  /// Checkpoint support: the id counter continues where it left off.
+  /// Profiles are append-only (ids only grow), so they travel in the
+  /// checkpoint journal: save_journal writes the profiles from the
+  /// `from`-th on, replay_journal appends one such section.
+  void save_ckpt(util::CkptWriter& w) const { w.put_i64(next_id_); }
   void restore_ckpt(util::CkptReader& r) {
     next_id_ = r.read_i64("registry.next_id");
-    profiles_.clear();
-    std::uint64_t n = r.read_u64("registry.size");
+  }
+  void save_journal(util::CkptWriter& w, std::size_t from) const {
+    w.put_u64(from);
+    w.put_u64(profiles_.size() - from);
+    for (auto it = std::next(profiles_.begin(),
+                             static_cast<std::ptrdiff_t>(from));
+         it != profiles_.end(); ++it) {
+      it->second.save_ckpt(w);
+    }
+  }
+  void replay_journal(util::CkptReader& r) {
+    if (util::journal_section_restarts(r.read_u64("registry.profiles"),
+                                       profiles_.size(),
+                                       "registry.profiles")) {
+      profiles_.clear();
+    }
+    const std::uint64_t n = r.read_u64("registry.profiles");
     for (std::uint64_t i = 0; i < n; ++i) {
       JobProfile p;
       p.restore_ckpt(r);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/pbs/job.hpp"
@@ -99,9 +100,17 @@ class JobGenerator {
 
   /// Checkpoint support: the RNG stream, id/user counters, episode state
   /// and every user's sticky code round-trip, so the generated population
-  /// continues bit-identically after a resume.
+  /// continues bit-identically after a resume.  save_ckpt/restore_ckpt
+  /// carry all but the codes; the codes travel in the checkpoint journal
+  /// as the append-only log of code assignments (user, profile id):
+  /// save_journal writes the assignments from the `from`-th on, and
+  /// replay_journal re-adopts them from the registry, which must already
+  /// hold the profiles they name.
   void save_ckpt(util::CkptWriter& w) const;
   void restore_ckpt(util::CkptReader& r);
+  void save_journal(util::CkptWriter& w, std::size_t from) const;
+  void replay_journal(util::CkptReader& r);
+  std::size_t code_assignments() const { return code_log_.size(); }
 
  private:
   JobProfile make_profile(int nodes, bool interactive);
@@ -118,6 +127,9 @@ class JobGenerator {
   std::int64_t last_day_ = -1;
   int episode_days_left_ = 0;
   std::map<std::int32_t, JobProfile> user_codes_;
+  /// Every assignment to user_codes_, in order: (user, the id of the
+  /// profile its first job registered).
+  std::vector<std::pair<std::int32_t, std::int64_t>> code_log_;
 };
 
 }  // namespace p2sim::workload

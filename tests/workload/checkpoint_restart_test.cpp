@@ -44,10 +44,14 @@ std::string read_file(const std::string& path) {
 
 TEST(CheckpointRestart, ContainerRoundTrips) {
   const std::string payload = "the campaign state, opaquely";
-  const std::string bytes = encode_checkpoint_file(0xABCD1234u, 96, payload);
+  const JournalPos pos{4242, 0x5EEDF00DCAFEull};
+  const std::string bytes =
+      encode_checkpoint_file(0xABCD1234u, 96, pos, payload);
   const CheckpointImage img = decode_checkpoint_file(bytes);
   EXPECT_EQ(img.config_hash, 0xABCD1234u);
   EXPECT_EQ(img.resume_interval, 96);
+  EXPECT_EQ(img.journal_pos.bytes, pos.bytes);
+  EXPECT_EQ(img.journal_pos.chain, pos.chain);
   EXPECT_EQ(img.payload, payload);
 }
 
@@ -60,8 +64,12 @@ TEST(CheckpointRestart, FileNamesSortInIntervalOrder) {
 TEST(CheckpointRestart, WriteListLoadAndPrune) {
   const std::string dir = fresh_dir("p2sim_ck_wll");
   std::string err;
+  JournalWriter journal;
+  ASSERT_TRUE(journal.start(dir, 7u, &err)) << err;
   for (std::int64_t t : {24, 48, 72}) {
-    ASSERT_TRUE(write_checkpoint(dir, 7u, t, "payload", /*keep=*/2, &err))
+    ASSERT_TRUE(journal.append("frame " + std::to_string(t), t, &err)) << err;
+    ASSERT_TRUE(write_checkpoint(dir, 7u, t, journal.pos(), "payload",
+                                 /*keep=*/2, &err))
         << err;
   }
   // keep=2: the oldest generation was pruned after the third commit.
@@ -74,6 +82,11 @@ TEST(CheckpointRestart, WriteListLoadAndPrune) {
   const auto img = load_latest_checkpoint(dir, 7u, &rep);
   ASSERT_TRUE(img.has_value());
   EXPECT_EQ(img->resume_interval, 72);
+  EXPECT_EQ(img->payload, "payload");
+  // The pruned generation's frame stays: the kept ones stand on it.
+  ASSERT_EQ(img->frames.size(), 3u);
+  EXPECT_EQ(img->frame(0), "frame 24");
+  EXPECT_EQ(img->frame(2), "frame 72");
   EXPECT_TRUE(rep.rejected.empty());
   fs::remove_all(dir);
 }
@@ -99,12 +112,13 @@ TEST(CheckpointRestart, ResumeFromEveryGenerationIsByteIdentical) {
   const auto gens = list_checkpoints(dir);
   ASSERT_EQ(gens.size(), 7u);  // 24, 48, ..., 168 of 192 intervals
   for (std::size_t i = 0; i < gens.size(); ++i) {
-    // Stage exactly one generation in its own directory, so the resume is
-    // forced through it.
+    // Stage exactly one generation (and the journal every generation
+    // shares) in its own directory, so the resume is forced through it.
     const std::string gen_dir =
         fresh_dir(("p2sim_ck_gen_" + std::to_string(i)).c_str());
     fs::create_directories(gen_dir);
     fs::copy_file(dir + "/" + gens[i], gen_dir + "/" + gens[i]);
+    fs::copy_file(dir + "/" + kJournalFile, gen_dir + "/" + kJournalFile);
 
     DriverConfig resume_cfg = ck_config();
     resume_cfg.checkpoint.dir = gen_dir;
@@ -238,6 +252,41 @@ TEST(CheckpointRestart, UnwritableCheckpointDirIsNonFatal) {
                    campaign_fingerprint(cfg, 1),
                    "failing checkpoint writes vs none");
   std::remove(blocker.c_str());
+}
+
+TEST(CheckpointRestart, FreshRunReplacesStaleGenerations) {
+  // A longer campaign leaves generations whose higher interval numbers
+  // sort after everything a shorter fresh run writes.  Unless the fresh
+  // run clears them, keep=2 prunes every generation it commits and the
+  // survivors belong to the other campaign.
+  const std::string dir = fresh_dir("p2sim_ck_stale");
+  DriverConfig longer = small_config(4, 16);
+  longer.checkpoint.every_intervals = 24;
+  longer.checkpoint.dir = dir;
+  (void)campaign_fingerprint(longer, 1, /*include_telemetry=*/false);
+  auto gens = list_checkpoints(dir);
+  ASSERT_EQ(gens.size(), 2u);
+  EXPECT_NE(gens.back().find("ckpt-000000000360"), std::string::npos);
+
+  DriverConfig shorter = ck_config();
+  shorter.checkpoint.dir = dir;
+  const std::string reference = campaign_fingerprint(shorter, 1);
+  gens = list_checkpoints(dir);
+  ASSERT_EQ(gens.size(), 2u);
+  EXPECT_NE(gens[0].find("ckpt-000000000144"), std::string::npos);
+  EXPECT_NE(gens[1].find("ckpt-000000000168"), std::string::npos);
+
+  ResumeReport rep;
+  const auto img = load_latest_checkpoint(
+      dir, config_fingerprint(shorter), &rep);
+  ASSERT_TRUE(img.has_value());
+  EXPECT_EQ(img->resume_interval, 168);
+  EXPECT_TRUE(rep.rejected.empty());
+
+  shorter.checkpoint.resume = true;
+  expect_identical(reference, campaign_fingerprint(shorter, 1),
+                   "resume after replacing stale generations");
+  fs::remove_all(dir);
 }
 
 TEST(CheckpointRestart, ConfigFingerprintCoversDeterminismKnobsOnly) {

@@ -1,11 +1,12 @@
 // Kill-injection harness: forks a checkpointing campaign, SIGKILLs the
 // child at a chosen deterministic execution point — between intervals,
-// mid-checkpoint-write (torn tmp file), after the tmp is complete but
-// before the atomic rename, and right after a commit — then resumes in a
-// fresh process and asserts the finished campaign's fingerprint is
-// byte-identical to an uninterrupted run's.  The schedule covers 13
-// distinct kill points at threads=1, a subset at threads=4, and a
-// three-kill chain (crash, resume, crash again, ...) on each.
+// mid-journal-append (torn frame), after the frame is durable but before
+// its generation exists, mid-checkpoint-write (torn tmp file), after the
+// tmp is complete but before the atomic rename, and right after a commit —
+// then resumes in a fresh process and asserts the finished campaign's
+// fingerprint is byte-identical to an uninterrupted run's.  The schedule
+// covers 13 generation kill points plus the journal points at threads=1
+// and threads=4, and crash chains (crash, resume, crash again, ...).
 //
 // POSIX-only by construction (fork/waitpid/SIGKILL); the whole file is
 // compiled out elsewhere, and the rest of the crash_recovery_tests binary
@@ -46,7 +47,8 @@ DriverConfig crash_config() {
 
 /// One deterministic execution point: the hook fires SIGKILL when `point`
 /// ticks with exactly `value` ("interval-end" carries the interval index,
-/// the ckpt-* points carry the generation's resume interval).
+/// the journal-* and ckpt-* points carry the generation's resume
+/// interval).
 struct KillSpec {
   const char* point = nullptr;
   std::int64_t value = -1;
@@ -158,6 +160,27 @@ TEST(CrashRecovery, EveryKillPointResumesByteIdentical) {
   }
 }
 
+/// The journal's kill points: a torn frame, and a durable frame no
+/// generation references yet.  Either way the resume stands on the
+/// previous generation and cuts the journal back to its prefix.
+const KillSpec kJournalSchedule[] = {
+    {"journal-mid-append", 24},  {"journal-mid-append", 96},
+    {"journal-appended", 48},    {"journal-appended", 168},
+};
+
+TEST(CrashRecovery, JournalKillPointsResumeByteIdentical) {
+  const std::string reference = campaign_fingerprint(crash_config(), 1);
+  for (const int threads : {1, 4}) {
+    for (const KillSpec& kill_at : kJournalSchedule) {
+      const std::string tag = "t" + std::to_string(threads) + "_" +
+                              kill_at.point + "_" +
+                              std::to_string(kill_at.value);
+      expect_identical(reference, kill_then_recover(tag, threads, kill_at),
+                       tag.c_str());
+    }
+  }
+}
+
 TEST(CrashRecovery, ParallelCampaignSurvivesKillsToo) {
   // threads=4 exercises the pool teardown path under SIGKILL; the
   // fingerprint must match the serial uninterrupted reference — crash,
@@ -197,6 +220,33 @@ TEST(CrashRecovery, RepeatedCrashesAcrossResumesStillConverge) {
             Outcome::kClean);
   expect_identical(campaign_fingerprint(crash_config(), 1),
                    read_file(fp_path), "three-crash chain");
+  fs::remove_all(dir);
+  std::remove(fp_path.c_str());
+}
+
+TEST(CrashRecovery, ResumeThatCutsTheJournalCanCrashAgain) {
+  // The first crash tears a frame; the second attempt resumes, cuts the
+  // torn tail off the journal, appends past it and is killed with a
+  // durable frame no generation references; the third attempt cuts that
+  // one too and finishes.
+  const std::string dir = fresh_dir("p2sim_crash_journal_chain");
+  const std::string fp_path = dir + ".fp";
+  DriverConfig cfg = crash_config();
+  cfg.checkpoint.dir = dir;
+
+  const KillSpec chain[] = {{"journal-mid-append", 96},
+                            {"journal-appended", 144}};
+  bool resume = false;
+  for (const KillSpec& kill_at : chain) {
+    ASSERT_EQ(run_attempt(cfg, 1, resume, kill_at, fp_path),
+              Outcome::kKilled)
+        << kill_at.point << " " << kill_at.value;
+    resume = true;
+  }
+  ASSERT_EQ(run_attempt(cfg, 4, /*resume=*/true, KillSpec{}, fp_path),
+            Outcome::kClean);
+  expect_identical(campaign_fingerprint(crash_config(), 1),
+                   read_file(fp_path), "journal crash chain");
   fs::remove_all(dir);
   std::remove(fp_path.c_str());
 }

@@ -99,6 +99,8 @@ TEST(MeasureAhead, MidDayResumeRebuildsTheLookAhead) {
     const std::string gen_dir = fresh_path("gen_" + std::to_string(i));
     fs::create_directories(gen_dir);
     fs::copy_file(cfg.checkpoint.dir + "/" + gens[i], gen_dir + "/" + gens[i]);
+    fs::copy_file(cfg.checkpoint.dir + "/" + kJournalFile,
+                  gen_dir + "/" + kJournalFile);
     DriverConfig resume_cfg = cfg;
     resume_cfg.checkpoint.dir = gen_dir;
     resume_cfg.checkpoint.resume = true;

@@ -1,14 +1,18 @@
 // Torn-write fuzzer for every durable artifact the simulator persists:
-// the binary checkpoint container, the v2 record streams and the
-// signature store.  The adversary is a crash (or bit rot) at an arbitrary
-// byte: every prefix truncation and every single-byte corruption of each
-// format must load to a precise, non-empty diagnosis — never a crash,
-// never silently-adopted garbage, and for the all-or-nothing signature
-// store never a partial prefix.
+// the binary checkpoint container and its journal, the v2 record streams
+// and the signature store.  The adversary is a crash (or bit rot) at an
+// arbitrary byte: every prefix truncation and every single-byte corruption
+// of each format must load to a precise, non-empty diagnosis — never a
+// crash, never silently-adopted garbage, and for the all-or-nothing
+// signature store never a partial prefix.  A damaged journal rejects
+// exactly the generations whose prefix covers the damage; older ones
+// still load.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,7 +35,8 @@ std::string sample_checkpoint() {
   w.put_str("campaign payload with enough bytes to be interesting");
   w.put_f64(2.718281828459045);
   w.put_i64(-12345);
-  return workload::encode_checkpoint_file(0x1234ABCDu, 96, w.bytes());
+  return workload::encode_checkpoint_file(0x1234ABCDu, 96, {4096, 77},
+                                          w.bytes());
 }
 
 TEST(TornWriteFuzz, CheckpointEveryTruncationDiagnosedNeverCrashes) {
@@ -73,6 +78,138 @@ TEST(TornWriteFuzz, CheckpointOversizedPayloadLengthIsBounded) {
   std::string full = sample_checkpoint();
   full.append("trailing garbage the header does not account for");
   EXPECT_THROW(workload::decode_checkpoint_file(full), util::CkptError);
+}
+
+// --- checkpoint journal --------------------------------------------------
+
+constexpr std::uint64_t kJournalHash = 0x1234ABCDu;
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// A checkpoint directory with three generations (24, 48, 72), each
+/// standing on one more frame of a shared journal.
+struct ThreeFrameJournal {
+  std::string dir;
+  std::string journal_path;
+  std::string bytes;           ///< the intact journal
+  std::uint64_t prefix[3] = {};  ///< each generation's journal_bytes
+
+  explicit ThreeFrameJournal(const char* name)
+      : dir(testing::TempDir() + name),
+        journal_path(dir + "/" + workload::kJournalFile) {
+    std::filesystem::remove_all(dir);
+    std::string err;
+    workload::JournalWriter journal;
+    EXPECT_TRUE(journal.start(dir, kJournalHash, &err)) << err;
+    for (int k = 0; k < 3; ++k) {
+      util::CkptWriter frame;
+      frame.put_u64(static_cast<std::uint64_t>(k));
+      frame.put_str(std::string(static_cast<std::size_t>(9 + 7 * k), 'r'));
+      const std::int64_t t = 24 * (k + 1);
+      EXPECT_TRUE(journal.append(frame.bytes(), t, &err)) << err;
+      prefix[k] = journal.pos().bytes;
+      EXPECT_TRUE(workload::write_checkpoint(dir, kJournalHash, t,
+                                             journal.pos(), "live state",
+                                             /*keep=*/0, &err))
+          << err;
+    }
+    bytes = read_bytes(journal_path);
+  }
+  ~ThreeFrameJournal() { std::filesystem::remove_all(dir); }
+
+  /// Loads from `dir` with `journal` in place and checks the verdict:
+  /// the newest generation whose prefix ends at or before `intact_up_to`
+  /// loads with its frames, every newer one is rejected with a reason.
+  void expect_load(const std::string& journal, std::size_t intact_up_to,
+                   const std::string& label) const {
+    write_bytes(journal_path, journal);
+    workload::ResumeReport rep;
+    std::optional<workload::CheckpointImage> img;
+    ASSERT_NO_THROW(img = workload::load_latest_checkpoint(
+                        dir, kJournalHash, &rep))
+        << label;
+    int expect = -1;
+    for (int k = 0; k < 3; ++k) {
+      if (prefix[k] <= intact_up_to) expect = k;
+    }
+    ASSERT_EQ(rep.rejected.size(), static_cast<std::size_t>(2 - expect))
+        << label;
+    for (const std::string& why : rep.rejected) {
+      EXPECT_NE(why.find("journal"), std::string::npos) << label << ": " << why;
+    }
+    if (expect < 0) {
+      EXPECT_FALSE(img.has_value()) << label;
+      return;
+    }
+    ASSERT_TRUE(img.has_value()) << label;
+    EXPECT_EQ(img->resume_interval, 24 * (expect + 1)) << label;
+    EXPECT_EQ(img->frames.size(), static_cast<std::size_t>(expect + 1))
+        << label;
+    EXPECT_EQ(img->journal, bytes.substr(0, prefix[expect])) << label;
+  }
+};
+
+TEST(TornWriteFuzz, JournalEveryTruncationFallsBackToAnIntactGeneration) {
+  const ThreeFrameJournal j("p2sim_fuzz_journal_trunc");
+  ASSERT_EQ(j.bytes.size(), j.prefix[2]);
+  for (std::size_t len = 0; len <= j.bytes.size(); ++len) {
+    j.expect_load(j.bytes.substr(0, len), len,
+                  "truncate@" + std::to_string(len));
+  }
+}
+
+TEST(TornWriteFuzz, JournalEveryByteFlipRejectsTheGenerationsOnIt) {
+  const ThreeFrameJournal j("p2sim_fuzz_journal_flip");
+  for (std::size_t pos = 0; pos < j.bytes.size(); ++pos) {
+    for (const unsigned char flip : {0x01, 0x80}) {
+      std::string rotted = j.bytes;
+      rotted[pos] = static_cast<char>(rotted[pos] ^ flip);
+      // Generations whose prefix ends at or before the damaged byte are
+      // untouched by it.
+      j.expect_load(rotted, pos,
+                    "flip " + std::to_string(flip) + "@" +
+                        std::to_string(pos));
+    }
+  }
+}
+
+TEST(TornWriteFuzz, JournalTailIsIgnoredOnLoadAndCutOnResume) {
+  const ThreeFrameJournal j("p2sim_fuzz_journal_tail");
+  // A torn append after the newest generation: half a frame.
+  workload::JournalPos past{j.prefix[2], 0};
+  const std::string frame = workload::encode_journal_frame("not yet", &past);
+  const std::string torn = j.bytes + frame.substr(0, frame.size() / 2);
+  j.expect_load(torn, torn.size(), "torn tail");
+
+  workload::ResumeReport rep;
+  const auto img =
+      workload::load_latest_checkpoint(j.dir, kJournalHash, &rep);
+  ASSERT_TRUE(img.has_value());
+  std::string err;
+  workload::JournalWriter journal;
+  ASSERT_TRUE(journal.resume(j.dir, *img, &err)) << err;
+  EXPECT_EQ(read_bytes(j.journal_path), j.bytes);
+  // The next frame lands where the tail was, and a generation on it loads.
+  ASSERT_TRUE(journal.append("after resume", 96, &err)) << err;
+  ASSERT_TRUE(workload::write_checkpoint(j.dir, kJournalHash, 96,
+                                         journal.pos(), "live state", 0,
+                                         &err))
+      << err;
+  const auto next =
+      workload::load_latest_checkpoint(j.dir, kJournalHash, &rep);
+  ASSERT_TRUE(next.has_value());
+  ASSERT_EQ(next->frames.size(), 4u);
+  EXPECT_EQ(next->frame(3), "after resume");
 }
 
 // --- v2 record streams ---------------------------------------------------
