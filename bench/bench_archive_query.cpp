@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "src/archive/convert.hpp"
 #include "src/archive/query.hpp"
 #include "src/archive/reader.hpp"
+#include "src/core/simulation.hpp"
 #include "src/fault/fault.hpp"
 
 namespace {
@@ -216,7 +218,7 @@ void report() {
   std::printf("  query vs text-path oracle (clean + faulted): %s %s\n",
               identical ? "byte-identical" : "MISMATCH", detail.c_str());
 
-  std::ofstream json = bench::open_csv("BENCH_archive_query.json");
+  std::ofstream json("BENCH_archive_query.json");
   json << "{\n  \"nodes\": 144,\n  \"days\": " << days
        << ",\n  \"scan_mrecs_per_s\": " << mrecs
        << ",\n  \"text_load_seconds\": " << loads.text_s

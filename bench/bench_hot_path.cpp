@@ -14,12 +14,14 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/analysis/tables.hpp"
 #include "src/cluster/node.hpp"
+#include "src/core/simulation.hpp"
 #include "src/power2/signature.hpp"
 
 namespace {
@@ -195,7 +197,7 @@ void report() {
   std::printf("  Table 2 fast vs reference: %s\n",
               identical ? "byte-identical" : "MISMATCH");
 
-  std::ofstream json = bench::open_csv("BENCH_hot_path.json");
+  std::ofstream json("BENCH_hot_path.json");
   json << "{\n  \"nodes\": 144,\n  \"days\": " << days
        << ",\n  \"hardware_concurrency\": " << hw
        << ",\n  \"interval_engine\": {\n"

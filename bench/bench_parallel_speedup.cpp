@@ -21,12 +21,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/analysis/tables.hpp"
+#include "src/core/simulation.hpp"
 #include "src/util/task_pool.hpp"
 #include "src/workload/driver.hpp"
 
@@ -160,7 +162,7 @@ void report() {
   std::printf("  Table 2 + archive bytes across thread counts: %s\n",
               identical ? "byte-identical" : "MISMATCH");
 
-  std::ofstream json = bench::open_csv("BENCH_parallel_speedup.json");
+  std::ofstream json("BENCH_parallel_speedup.json");
   json << "{\n  \"nodes\": 144,\n  \"days\": " << days
        << ",\n  \"hardware_concurrency\": " << hw
        << ",\n  \"max_threads\": " << kMaxThreads

@@ -19,11 +19,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/analysis/loss.hpp"
+#include "src/core/simulation.hpp"
 #include "src/telemetry/service.hpp"
 #include "src/telemetry/session.hpp"
 #include "src/util/http_client.hpp"
@@ -177,7 +179,7 @@ void report() {
   std::printf("  exports 0 vs %d scrapers: %s\n", kScrapers,
               identical ? "bit-identical" : "MISMATCH");
 
-  std::ofstream json = bench::open_csv("BENCH_scrape_overhead.json");
+  std::ofstream json("BENCH_scrape_overhead.json");
   json << "{\n  \"nodes\": 16,\n  \"days\": " << days
        << ",\n  \"worker_threads\": 4,\n  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency()

@@ -1,42 +1,18 @@
-// Shared plumbing for the bench binaries.
+// Shared plumbing for the perf bench binaries.
 //
-// Every table/figure bench runs the *paper-scale* campaign (144 nodes, 270
-// days) exactly once per process, prints its reproduction next to the
-// paper's reported values, dumps the underlying series as CSV, and then
-// runs google-benchmark timings of the analysis/simulation kernels behind
-// it.
+// Each bench prints a banner, measures one layer of the simulator (the
+// interval engine, the parallel campaign engine, the archive, the scrape
+// path), writes its BENCH_*.json report, and then runs its
+// google-benchmark timings.  The paper's tables and figures are not
+// benches: they are experiments in src/core/registry, run through
+// examples/run_experiment.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
-#include <string>
-
-#include "src/core/simulation.hpp"
 
 namespace p2sim::bench {
-
-/// The paper-scale simulation, constructed on first use and shared by all
-/// benchmarks in the binary.
-inline core::Sp2Simulation& paper_sim() {
-  static core::Sp2Simulation sim{core::Sp2Config{}};
-  return sim;
-}
-
-/// "paper X.X / measured Y.Y" comparison line.
-inline void compare(const char* what, double paper, double measured,
-                    const char* unit = "") {
-  std::printf("  %-46s paper %10.3f   measured %10.3f %s\n", what, paper,
-              measured, unit);
-}
-
-/// Opens a CSV file next to the binary's working directory.
-inline std::ofstream open_csv(const std::string& name) {
-  std::ofstream out(name);
-  if (out) std::printf("  [series written to %s]\n", name.c_str());
-  return out;
-}
 
 /// Prints the standard bench banner.
 inline void banner(const char* experiment, const char* paper_ref) {
@@ -46,7 +22,7 @@ inline void banner(const char* experiment, const char* paper_ref) {
   std::printf("==============================================================\n");
 }
 
-/// Custom main body: print the reproduction, then run timings.
+/// Custom main body: print the report, then run timings.
 int run(int argc, char** argv, void (*report)());
 
 }  // namespace p2sim::bench

@@ -170,10 +170,7 @@ int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   if (!opt.connect.empty()) return connect_and_report(opt.connect);
 
-  core::Sp2Config cfg = (opt.nodes == 144 && opt.days == 270)
-                            ? core::Sp2Config{}
-                            : core::Sp2Config::small(opt.days, opt.nodes);
-  cfg.driver.days = opt.days;
+  core::Sp2Config cfg = core::Sp2Config::small(opt.days, opt.nodes);
   cfg.driver.seed = opt.seed;
   cfg.driver.threads = opt.threads;
   if (opt.faults == "reference") {

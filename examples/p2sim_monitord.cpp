@@ -154,10 +154,7 @@ int main(int argc, char** argv) {
   std::int64_t completed = 0;
   while (!svc.quit_requested() &&
          (opt.campaigns == 0 || completed < opt.campaigns)) {
-    core::Sp2Config cfg = (opt.nodes == 144 && opt.days == 270)
-                              ? core::Sp2Config{}
-                              : core::Sp2Config::small(opt.days, opt.nodes);
-    cfg.driver.days = opt.days;
+    core::Sp2Config cfg = core::Sp2Config::small(opt.days, opt.nodes);
     cfg.driver.seed = opt.seed + static_cast<std::uint64_t>(completed);
     cfg.driver.threads = opt.threads;
     if (opt.faults == "reference") {

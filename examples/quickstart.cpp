@@ -15,7 +15,7 @@ int main() {
   using namespace p2sim;
 
   // A scaled-down campaign (30 days, 32 nodes) keeps the demo fast; the
-  // bench binaries run the full 270-day, 144-node configuration.
+  // `run_experiment --days 270 --nodes 144` runs the full configuration.
   core::Sp2Simulation sim(core::Sp2Config::small(/*days=*/30, /*nodes=*/32));
 
   // Single-processor calibration first: the paper's 240 Mflops blocked

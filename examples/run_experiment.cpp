@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::printf("--- %s: %s ---\n%s\n", exp->name.c_str(),
-                  exp->description.c_str(), exp->run(sim).c_str());
+                  exp->description.c_str(), exp->run(sim).text().c_str());
     }
     if (!records_base.empty()) {
       std::ofstream fi(intervals_path, std::ios::trunc);

@@ -77,10 +77,7 @@ int main(int argc, char** argv) {
   using namespace p2sim;
   const Options opt = parse(argc, argv);
 
-  core::Sp2Config cfg = (opt.nodes == 144 && opt.days == 270)
-                            ? core::Sp2Config{}
-                            : core::Sp2Config::small(opt.days, opt.nodes);
-  cfg.driver.days = opt.days;
+  core::Sp2Config cfg = core::Sp2Config::small(opt.days, opt.nodes);
   cfg.driver.seed = opt.seed;
   if (opt.waitstates) {
     cfg.driver.node.monitor.selection = hpm::CounterSelection::kWaitStates;

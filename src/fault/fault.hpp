@@ -54,9 +54,9 @@ struct FaultConfig {
   /// Seed of the fault schedule; independent of the workload seed.
   std::uint64_t seed = 0x0BAD5EEDULL;
 
-  /// The reference schedule used by bench_fault_campaign and the docs: a
-  /// realistic nine-month outage profile (roughly one crash per node per
-  /// two months, 1% missed samples, 2% lost epilogues).
+  /// The reference schedule used by the fault_campaign experiment and the
+  /// docs: a realistic nine-month outage profile (roughly one crash per
+  /// node per two months, 1% missed samples, 2% lost epilogues).
   static FaultConfig reference();
 };
 

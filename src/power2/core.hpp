@@ -12,7 +12,8 @@
 //     with D-cache miss handling (its pipe is held for the refill);
 //   * a D-cache miss halts issue for 8 cycles, a TLB miss for a uniformly
 //     drawn 36-54 cycles (section 5).
-// Alternative steering policies are provided for the ablation benches.
+// Alternative steering policies are provided for the ablation_dispatch
+// experiment.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
-// Terminal rendering of the paper's figures.  The bench binaries regenerate
-// each figure as (a) a CSV series and (b) an ASCII chart so the shape of the
+// Terminal rendering of the paper's figures.  The figure experiments in
+// src/core/registry draw each figure as an ASCII chart so the shape of the
 // result — the >64-node collapse, the flat moving average, the Figure 5
-// anti-correlation — is visible directly in the bench output.
+// anti-correlation — is visible directly in run_experiment's output.
 #pragma once
 
 #include <string>

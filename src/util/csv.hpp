@@ -1,6 +1,5 @@
-// Minimal CSV emission.  Every bench binary writes the series behind its
-// table/figure as CSV (alongside the ASCII rendering) so results can be
-// re-plotted outside the repository.
+// Minimal CSV emission.  examples/sp2_report writes the series behind each
+// figure as CSV so results can be re-plotted outside the repository.
 #pragma once
 
 #include <ostream>

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/sim_time.hpp"
+#include "src/workload/checkpoint.hpp"
 #include "src/workload/kernels.hpp"
 
 namespace p2sim::core {
@@ -17,6 +19,17 @@ TEST(Sp2Config, SmallScalesTheMachine) {
   for (int n : cfg.driver.jobgen.node_choices) EXPECT_LE(n, 32);
   // The day filter keeps the paper's per-node severity.
   EXPECT_NEAR(cfg.table_min_gflops, 2.0 * 32 / 144.0, 1e-12);
+}
+
+// small() at the paper's scale is the paper's configuration, so every
+// tool builds its config through small() alone.
+TEST(Sp2Config, SmallAtPaperScaleIsTheDefault) {
+  const Sp2Config paper{};
+  const Sp2Config small = Sp2Config::small(util::kCampaignDays, 144);
+  EXPECT_EQ(workload::config_fingerprint(small.driver),
+            workload::config_fingerprint(paper.driver));
+  EXPECT_EQ(small.table_min_gflops, paper.table_min_gflops);
+  EXPECT_EQ(small.table_min_coverage, paper.table_min_coverage);
 }
 
 TEST(Sp2Simulation, LazyCampaignIsConsistent) {

@@ -7,7 +7,6 @@
 
 #include "src/analysis/loss.hpp"
 #include "src/analysis/record_io.hpp"
-#include "src/core/registry.hpp"
 #include "src/core/simulation.hpp"
 
 namespace p2sim {
@@ -164,17 +163,6 @@ TEST(FaultCampaign, RecordsSurviveStorageCorruption) {
   if (corrupted > report.max_issues) {
     EXPECT_NE(rendered.find("and"), std::string::npos);
   }
-}
-
-TEST(FaultCampaign, RegistryExposesFaultExperiment) {
-  EXPECT_NE(core::find_experiment("fault_campaign"), nullptr);
-  EXPECT_NE(core::find_experiment("loss"), nullptr);
-  EXPECT_EQ(core::find_experiment("no_such_thing"), nullptr);
-  EXPECT_FALSE(core::experiments().empty());
-
-  core::Sp2Simulation sim(core::Sp2Config::small(3, 8));
-  const std::string out = core::find_experiment("loss")->run(sim);
-  EXPECT_NE(out.find("Measurement loss report"), std::string::npos);
 }
 
 }  // namespace

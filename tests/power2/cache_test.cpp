@@ -130,7 +130,7 @@ TEST(Cache, StreamingFootprintMissesEveryLine) {
 
 // LRU is a stack algorithm per set: with the same set count, adding ways
 // can never increase misses (inclusion property).  This is the property
-// behind the associativity ablation bench.
+// behind the associativity sweep of the ablation_cache experiment.
 class CacheAssocProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CacheAssocProperty, MoreWaysNeverMissMore) {
