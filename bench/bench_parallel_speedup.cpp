@@ -210,7 +210,7 @@ void BM_TaskPoolDispatch(benchmark::State& state) {
   util::TaskPool pool(static_cast<int>(state.range(0)));
   std::vector<double> sink(144, 0.0);
   for (auto _ : state) {
-    pool.run(sink.size(), [&sink](std::size_t b, std::size_t e) {
+    pool.run(sink.size(), [&sink](int, std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) sink[i] += 1.0;
     });
     benchmark::DoNotOptimize(sink.data());

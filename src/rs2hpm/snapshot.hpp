@@ -24,7 +24,7 @@ struct ModeTotals {
   CounterTotals user{};
   CounterTotals system{};
 
-  ModeTotals& operator+=(const ModeTotals& o);
+  P2SIM_PAR_SAFE ModeTotals& operator+=(const ModeTotals& o);
   friend ModeTotals operator+(ModeTotals a, const ModeTotals& b) {
     a += b;
     return a;

@@ -11,13 +11,21 @@
 // thread count, which is what makes "bit-identical for threads ∈ {1, 4, N}"
 // a structural property rather than a hope.
 //
+// A dispatch costs no thread wake-up when it follows the previous one
+// closely: workers and the caller spin on two atomics (the dispatch epoch
+// and the completion count) for a bounded window before parking on the
+// condition variables.  The driver dispatches once per pass, usually a few
+// tens of microseconds apart, so within a campaign the workers rarely park.
+//
 // threads == 1 is the explicit serial bypass: no workers are spawned, no
 // locks are taken, and run() invokes the task inline — a TaskPool(1) build
 // is the pre-pool serial driver, not a pool with one worker.
 #pragma once
 
-#include <cstddef>
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -47,6 +55,11 @@ constexpr ShardRange shard_range(std::size_t n, int worker,
 
 class TaskPool {
  public:
+  /// task(shard, begin, end): `shard` is the worker index w whose
+  /// shard_range(n, w, threads()) is [begin, end), so a task may keep one
+  /// accumulator per shard and write it without synchronization.
+  using Task = std::function<void(int, std::size_t, std::size_t)>;
+
   /// threads >= 2 spawns threads-1 workers (the calling thread runs shard
   /// 0); threads == 1 runs everything inline; threads == 0 means one per
   /// hardware core.  Throws std::invalid_argument on negative counts.
@@ -57,34 +70,38 @@ class TaskPool {
 
   int threads() const noexcept { return threads_; }
 
-  /// Runs task(begin, end) once per shard of [0, n) and returns only when
-  /// every shard has finished (a full barrier: everything the shards wrote
-  /// happens-before the return).  The first exception any shard throws is
-  /// rethrown here after the barrier.  Not reentrant: shards must not call
-  /// run() on the same pool.
-  P2SIM_SERIAL_ONLY void run(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& task);
+  /// Runs task(w, begin, end) once per non-empty shard w of [0, n) and
+  /// returns only when every shard has finished (a full barrier:
+  /// everything the shards wrote happens-before the return).  The first
+  /// exception any shard throws is rethrown here after the barrier.  Not
+  /// reentrant: shards must not call run() on the same pool.
+  P2SIM_SERIAL_ONLY void run(std::size_t n, const Task& task);
 
  private:
   void worker_loop(int worker_index);
-  void run_shard(const std::function<void(std::size_t, std::size_t)>& task,
-                 std::size_t n, int worker_index);
+  void run_shard(const Task& task, std::size_t n, int worker_index);
+  /// Makes (task, n) the next epoch's dispatch and wakes parked workers.
+  /// A null task is the stop order.
+  void publish(const Task* task, std::size_t n);
+  /// Spins until ready() holds for a bounded window, then parks on `cv`.
+  template <typename Ready>
+  void await(std::condition_variable& cv, const Ready& ready);
 
   int threads_ = 1;
   std::vector<std::thread> workers_;
 
+  // Dispatch slot.  publish() writes it before the release increment of
+  // epoch_; a worker reads it after acquiring the new epoch.  The caller
+  // rewrites it only after pending_ has reached zero, so no worker is
+  // still reading.
+  const Task* task_ = nullptr;
+  std::size_t task_items_ = 0;
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<int> pending_{0};
+
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable work_done_;
-  // Dispatch slot, valid while pending_ > 0.  epoch_ increments once per
-  // run() so a worker can tell a fresh dispatch from the one it just ran.
-  const std::function<void(std::size_t, std::size_t)>* task_
-      P2SIM_GUARDED_BY(mutex_) = nullptr;
-  std::size_t task_items_ P2SIM_GUARDED_BY(mutex_) = 0;
-  std::uint64_t epoch_ P2SIM_GUARDED_BY(mutex_) = 0;
-  int pending_ P2SIM_GUARDED_BY(mutex_) = 0;
-  bool stopping_ P2SIM_GUARDED_BY(mutex_) = false;
   std::exception_ptr first_error_ P2SIM_GUARDED_BY(mutex_);
 };
 

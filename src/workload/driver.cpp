@@ -70,19 +70,15 @@ cluster::ActivityProfile WorkloadDriver::activity_for(
 
 /// Every piece of campaign state, constructed once per run().  The serial
 /// phases own all of it; the parallel phases touch only `lanes` (one lane
-/// per worker, statically sharded), the look-ahead measurement slots, and
-/// the immutable inputs.
+/// per worker, statically sharded), the worker's own row of
+/// `shard_tallies`, the lanes' own `pass_busy` slots, the look-ahead
+/// measurement slots, and the immutable inputs.
 struct WorkloadDriver::CampaignState {
-  /// One interval's fleet-wide probe results, tree-merged from the lanes'
-  /// samples by the fold phase and consumed by the collect post-pass.
+  /// One interval's fleet-wide probe results, merged from the shards'
+  /// tallies and the lanes' busy seconds by the fold phase and consumed by
+  /// the collect post-pass.
   struct MergedInterval {
-    rs2hpm::ModeTotals delta;
-    std::uint64_t quad_surplus = 0;
-    int sampled = 0;
-    int reprimed = 0;
-    int newly_primed = 0;
-    int down = 0;
-    int lost = 0;
+    ProbeTally probes;
     double busy_s = 0.0;
   };
 
@@ -119,6 +115,7 @@ struct WorkloadDriver::CampaignState {
     for (int i = 0; i < cfg.num_nodes; ++i) {
       lanes.emplace_back(i, node_cfg, cfg.seed, view);
     }
+    shard_tallies.resize(static_cast<std::size_t>(pool.threads()));
     result.num_nodes = cfg.num_nodes;
     result.days = cfg.days;
     result.selection = node_cfg.monitor.selection;
@@ -262,7 +259,13 @@ struct WorkloadDriver::CampaignState {
   std::int64_t horizon_first = 0;
   /// miss[k] != 0 marks horizon offset k as a whole-interval cron miss.
   std::vector<std::uint8_t> miss;
-  /// Fleet-wide merge of the lanes' probe samples, one per horizon offset.
+  /// The lane-pipeline outputs.  shard_tallies[w][k] is the sum of the
+  /// probes of worker w's lanes at horizon offset k, written only by
+  /// worker w; pass_busy[k * lanes + i] is lane i's busy seconds at
+  /// offset k, written only by lane i.
+  std::vector<std::vector<ProbeTally>> shard_tallies;
+  std::vector<double> pass_busy;
+  /// Fleet-wide merge of the pass, one per horizon offset.
   std::vector<MergedInterval> merged;
   // --- per-interval scratch (collect/observe post-pass) ------------------
   double busy_node_seconds = 0.0;
@@ -670,11 +673,9 @@ void WorkloadDriver::phase_measure(CampaignState& st) {
     const power2::CoreConfig& core_cfg = st.signatures.core_config();
     const auto workers = static_cast<std::size_t>(st.pool.threads());
     st.pool.run(workers, [&plan, &results, &order, &core_cfg, n, workers](
-                             std::size_t begin, std::size_t end) {
-      for (std::size_t w = begin; w < end; ++w) {
-        for (std::size_t j = w; j < n; j += workers) {
-          results[order[j]] = power2::measure_quiet(core_cfg, plan[order[j]]);
-        }
+                             int shard, std::size_t, std::size_t) {
+      for (auto j = static_cast<std::size_t>(shard); j < n; j += workers) {
+        results[order[j]] = power2::measure_quiet(core_cfg, plan[order[j]]);
       }
     });
     for (std::size_t i = 0; i < n; ++i) {
@@ -833,21 +834,37 @@ void WorkloadDriver::phase_lane_pipeline(CampaignState& st) {
     }
   }
 
+  // The pass's outputs.  Every tally starts at zero, so a shard with no
+  // lanes (more threads than nodes) contributes zero to the fold; every
+  // busy slot is rewritten by its lane.
+  const std::int64_t h = st.horizon;
+  const auto hu = static_cast<std::size_t>(h);
+  std::vector<NodeLane>& lanes = st.lanes;
+  const std::size_t lanes_n = lanes.size();
+  for (std::vector<ProbeTally>& row : st.shard_tallies) {
+    row.assign(hu, ProbeTally{});
+  }
+  st.pass_busy.resize(hu * lanes_n);
+
   // The parallel region: one lane per index, no cross-lane state.  Each
   // worker drains the whole horizon for its lanes — node advance plus the
   // daemon probe against the lane-owned baseline — so the barrier cost is
-  // paid once per pass, not once per interval.  The pool's static shards
-  // make work placement a function of (num_nodes, threads) only; with
-  // threads == 1 this is an inline loop.
+  // paid once per pass, not once per interval.  The worker adds its lanes'
+  // probes into its own shard's tallies, so the fleet merge of the counter
+  // deltas happens here, on the cores that just produced them.  The pool's
+  // static shards make work placement a function of (num_nodes, threads)
+  // only; with threads == 1 this is an inline loop.
   const std::int64_t t0 = st.t;
-  const std::int64_t h = st.horizon;
   const double interval_s = st.interval_s;
   const std::uint8_t* miss = st.miss.data();
-  std::vector<NodeLane>& lanes = st.lanes;
-  st.pool.run(lanes.size(), [&lanes, t0, h, interval_s, miss](
-                                std::size_t begin, std::size_t end) {
+  std::vector<std::vector<ProbeTally>>& tallies = st.shard_tallies;
+  double* busy = st.pass_busy.data();
+  st.pool.run(lanes_n, [&lanes, &tallies, busy, lanes_n, t0, h, interval_s,
+                        miss](int shard, std::size_t begin, std::size_t end) {
+    ProbeTally* tally = tallies[static_cast<std::size_t>(shard)].data();
     for (std::size_t i = begin; i < end; ++i) {
-      lanes[i].run_pipeline(t0, h, interval_s, miss);
+      lanes[i].run_pipeline(t0, h, interval_s, miss, tally, busy + i,
+                            lanes_n);
     }
   });
 }
@@ -858,56 +875,25 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
   // double-counting folded counters plus not-yet-reset shard residue.
   auto* tel = telemetry::current();
   telemetry::Session::FoldGuard fold_guard(tel);
-  st.merged.assign(static_cast<std::size_t>(st.horizon),
-                   CampaignState::MergedInterval{});
+  const auto hu = static_cast<std::size_t>(st.horizon);
   const std::size_t lanes_n = st.lanes.size();
-  for (std::int64_t k = 0; k < st.horizon; ++k) {
-    const std::size_t ku = static_cast<std::size_t>(k);
-    st.merged[ku] = telemetry::tree_fold(
-        lanes_n,
-        [&st, ku](std::size_t i) {
-          const LaneSample& s = st.lanes[i].samples[ku];
-          CampaignState::MergedInterval m;
-          m.busy_s = s.busy_s;
-          switch (s.outcome) {
-            case ProbeOutcome::kSampled:
-              m.delta = s.delta;
-              m.quad_surplus = s.quad_surplus;
-              m.sampled = 1;
-              break;
-            case ProbeOutcome::kReprimed:
-              m.reprimed = 1;
-              break;
-            case ProbeOutcome::kNewlyPrimed:
-              m.newly_primed = 1;
-              break;
-            case ProbeOutcome::kDown:
-              m.down = 1;
-              break;
-            case ProbeOutcome::kLost:
-              m.lost = 1;
-              break;
-            case ProbeOutcome::kMissed:
-              break;
-          }
-          return m;
-        },
-        [](CampaignState::MergedInterval a,
-           const CampaignState::MergedInterval& b) {
-          a.delta += b.delta;
-          a.quad_surplus += b.quad_surplus;
-          a.sampled += b.sampled;
-          a.reprimed += b.reprimed;
-          a.newly_primed += b.newly_primed;
-          a.down += b.down;
-          a.lost += b.lost;
-          a.busy_s += b.busy_s;
-          return a;
-        });
+  st.merged.resize(hu);
+  for (std::size_t k = 0; k < hu; ++k) {
+    CampaignState::MergedInterval& m = st.merged[k];
+    // Integer sums: adding the shards' tallies gives the bits the
+    // per-lane sum would, for every shard count.
+    m.probes = ProbeTally{};
+    for (const std::vector<ProbeTally>& row : st.shard_tallies) {
+      m.probes.add(row[k]);
+    }
+    // Floating point: the busy seconds keep the fixed lane tree.
+    const double* busy = st.pass_busy.data() + k * lanes_n;
+    m.busy_s = telemetry::tree_fold(
+        lanes_n, [busy](std::size_t i) { return busy[i]; },
+        [](double a, double b) { return a + b; });
     // Campaign busy time accumulates per interval, ascending: the running
     // sum is the same no matter where passes break.
-    st.result.total_busy_node_seconds +=
-        st.merged[ku].busy_s;
+    st.result.total_busy_node_seconds += m.busy_s;
   }
   // One shard merge per pass, through the same pairwise tree the scrape
   // path uses (telemetry::tree_fold_shards), folded into the registry via
@@ -986,20 +972,21 @@ void WorkloadDriver::phase_collect(CampaignState& st) {
     // Replays the same keyed miss decision the lanes saw, logging it in
     // per-interval order; a missed interval records nothing.
     if (st.inject.miss_interval(st.t)) return;
-    for (int i = 0; i < m.down; ++i) st.inject.note_node_unreachable();
-    st.inject.note_samples_lost(m.lost);
+    for (int i = 0; i < m.probes.down; ++i) st.inject.note_node_unreachable();
+    st.inject.note_samples_lost(m.probes.lost);
   }
   rs2hpm::IntervalRecord rec;
   rec.interval = st.t;
-  rec.delta = m.delta;
-  rec.quad_surplus = m.quad_surplus;
-  rec.nodes_sampled = m.sampled;
+  rec.delta = m.probes.delta;
+  rec.quad_surplus = m.probes.quad_surplus;
+  rec.nodes_sampled = m.probes.sampled;
   rec.nodes_expected = cfg_.num_nodes;
-  rec.nodes_reprimed = m.reprimed;
+  rec.nodes_reprimed = m.probes.reprimed;
   rec.busy_nodes = st.busy_now;
   // Lanes start primed (fresh node counters are the all-zero baseline), so
   // a merged record always has at least one baseline behind it.
-  st.daemon.ingest(rec, m.down + m.lost, m.newly_primed, /*any_primed=*/true);
+  st.daemon.ingest(rec, m.probes.down + m.probes.lost,
+                   m.probes.newly_primed, /*any_primed=*/true);
 }
 
 void WorkloadDriver::phase_observe(CampaignState& st) {

@@ -4,14 +4,19 @@
 // (util::TaskPool, static sharding), each lane draining a whole horizon of
 // intervals end-to-end.  The determinism and data-race story both reduce to
 // one ownership rule: inside the parallel region a worker reads and writes
-// exactly one lane — the Node with its counters, the lane's private RNG
-// stream, its read-only fault view, its telemetry shard and its per-interval
-// probe samples — plus immutable shared inputs (configs, the job's
-// EventSignature, this horizon's LaneStep and miss bitmap).  Cross-node
-// state (scheduler, daemon, job monitor, the metrics registry, the driver's
-// master RNG) is touched only in the serial phases, and lane outputs are
-// folded back in a fixed pairwise tree (telemetry::tree_fold), so campaign
-// results are bit-identical for every thread count.
+// exactly one lane at a time — the Node with its counters, the lane's
+// private RNG stream, its read-only fault view and its telemetry shard —
+// plus two per-pass outputs: its own shard's ProbeTally row (one tally per
+// horizon offset, shared by the shard's lanes and by no other worker) and
+// the lane's own busy-seconds slot per offset.  Everything else it reads is
+// immutable shared input (configs, the job's EventSignature, this
+// horizon's LaneStep and miss bitmap).  Cross-node state (scheduler,
+// daemon, job monitor, the metrics registry, the driver's master RNG) is
+// touched only in the serial phases.  The serial fold adds the shards'
+// tallies — integer sums, the same bits under any grouping — and folds
+// the busy seconds, the one floating-point output, in a fixed pairwise
+// tree (telemetry::tree_fold), so campaign results are bit-identical for
+// every thread count.
 //
 // RNG ownership: the lane stream is seeded from (campaign seed, node id)
 // through splitmix64 — never from the master stream, whose draw sequence
@@ -22,8 +27,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/check/annotate.hpp"
 #include "src/cluster/node.hpp"
@@ -53,24 +58,30 @@ struct LaneStep {
   double end_s = 0.0;
 };
 
-/// How one lane-local daemon probe (one node, one interval) turned out.
-/// Mirrors the per-node arms of SamplingDaemon::collect exactly.
-enum class ProbeOutcome : std::uint8_t {
-  kMissed,      ///< the whole 15-minute sample never happened (cron miss)
-  kDown,        ///< node was down: unreachable, baseline kept
-  kLost,        ///< node up but its fetch was dropped in flight
-  kSampled,     ///< clean monotone delta
-  kReprimed,    ///< counter reset detected; baseline re-established
-  kNewlyPrimed, ///< first successful contact; baseline established
-};
+/// The daemon probes of some lanes for one interval, summed.  Each field
+/// counts one per-node arm of SamplingDaemon::collect; a cron-missed
+/// interval adds nothing.  Every field is an integer sum, so the total is
+/// the same whichever lanes are added in whichever order: a worker adds
+/// its lanes' probes into its shard's tally while they run, and the
+/// serial fold adds the shards' tallies.
+struct ProbeTally {
+  rs2hpm::ModeTotals delta;        ///< counter deltas of the sampled nodes
+  std::uint64_t quad_surplus = 0;  ///< quad diagnostic deltas, likewise
+  int sampled = 0;       ///< clean monotone delta
+  int reprimed = 0;      ///< counter reset detected; baseline re-established
+  int newly_primed = 0;  ///< first successful contact; baseline established
+  int down = 0;          ///< node was down: unreachable, baseline kept
+  int lost = 0;          ///< node up but its fetch was dropped in flight
 
-/// One interval's probe result, produced inside the parallel region and
-/// folded into the interval's merged record by the serial fold phase.
-struct LaneSample {
-  rs2hpm::ModeTotals delta;        ///< counter delta (kSampled only)
-  std::uint64_t quad_surplus = 0;  ///< quad diagnostic delta (kSampled only)
-  double busy_s = 0.0;             ///< busy seconds this lane contributed
-  ProbeOutcome outcome = ProbeOutcome::kMissed;
+  P2SIM_PAR_SAFE void add(const ProbeTally& o) {
+    delta += o.delta;
+    quad_surplus += o.quad_surplus;
+    sampled += o.sampled;
+    reprimed += o.reprimed;
+    newly_primed += o.newly_primed;
+    down += o.down;
+    lost += o.lost;
+  }
 };
 
 /// The per-node bundle owned by exactly one worker during the parallel
@@ -119,60 +130,65 @@ class NodeLane {
   /// interval, derive the busy split from the work order, advance the
   /// node, then probe its counters exactly as the daemon's serial per-node
   /// loop did.  `miss[k]` marks horizon offset k as a whole-interval cron
-  /// miss (no probe draw, baseline kept).  Touches only lane-local state;
-  /// the horizon phase guarantees the work order holds for every interval.
+  /// miss (no probe draw, baseline kept).  Offset k's probe is added into
+  /// `tally[k]`, the calling shard's row, and the interval's busy seconds
+  /// are written to `busy[k * busy_stride]`, this lane's slot.  Touches
+  /// only lane-local state and those two outputs; the horizon phase
+  /// guarantees the work order holds for every interval.
   P2SIM_PAR_SAFE void run_pipeline(std::int64_t t0, std::int64_t h,
                                    double interval_s,
-                                   const std::uint8_t* miss) {
-    samples.clear();
+                                   const std::uint8_t* miss,
+                                   ProbeTally* tally, double* busy,
+                                   std::size_t busy_stride) {
     for (std::int64_t k = 0; k < h; ++k) {
       const double now = static_cast<double>(t0 + k) * interval_s;
       if (step.sig != nullptr) {
         step.busy_s = std::min(step.end_s, now + interval_s) - now;
       }
       advance_interval(interval_s);
-      probe(t0 + k, miss[k] != 0);
+      const auto ku = static_cast<std::size_t>(k);
+      busy[ku * busy_stride] = interval_busy_s;
+      probe(t0 + k, miss[k] != 0, tally[ku]);
     }
   }
 
-  /// One daemon probe of this lane's node: appends a LaneSample for the
-  /// interval.  The monotone guard, reprime and priming arms are the
-  /// per-node body of SamplingDaemon::collect, relocated so the probe can
-  /// run inside the parallel region against lane-owned baselines.
-  P2SIM_PAR_SAFE void probe(std::int64_t interval, bool missed) {
-    LaneSample s;
-    s.busy_s = interval_busy_s;
-    if (missed) {
-      s.outcome = ProbeOutcome::kMissed;  // baseline kept
-    } else if (!node.is_up()) {
-      s.outcome = ProbeOutcome::kDown;    // unreachable, baseline kept
-    } else if (fault_view != nullptr &&
-               fault_view->node_sample_lost(node.id(), interval)) {
-      s.outcome = ProbeOutcome::kLost;    // dropped in flight, baseline kept
-    } else {
-      const rs2hpm::ModeTotals& totals = node.totals();
-      const std::uint64_t quad = node.quad_total();
-      // The guard is unconditional in every build: subtracting a baseline
-      // from reset counters would wrap the uint64 deltas into astronomical
-      // garbage that no downstream check could attribute.
-      const bool monotone = probe_primed && totals.covers(probe_prev) &&
-                            quad >= probe_prev_quad;
-      if (monotone) {
-        s.delta = totals.since(probe_prev);
-        s.quad_surplus = quad - probe_prev_quad;
-        s.outcome = ProbeOutcome::kSampled;
-      } else if (probe_primed) {
-        // Counter reset (node reboot) between samples: drop this interval's
-        // contribution and re-establish the baseline.
-        s.outcome = ProbeOutcome::kReprimed;
-      } else {
-        s.outcome = ProbeOutcome::kNewlyPrimed;
-      }
-      probe_prev = totals;
-      probe_prev_quad = quad;
-      probe_primed = true;
+  /// One daemon probe of this lane's node, added into `tally`.  The
+  /// monotone guard, reprime and priming arms are the per-node body of
+  /// SamplingDaemon::collect, relocated so the probe can run inside the
+  /// parallel region against lane-owned baselines.
+  P2SIM_PAR_SAFE void probe(std::int64_t interval, bool missed,
+                            ProbeTally& tally) {
+    if (missed) return;  // the whole sample never happened; baseline kept
+    if (!node.is_up()) {
+      ++tally.down;  // unreachable, baseline kept
+      return;
     }
-    samples.push_back(s);
+    if (fault_view != nullptr &&
+        fault_view->node_sample_lost(node.id(), interval)) {
+      ++tally.lost;  // dropped in flight, baseline kept
+      return;
+    }
+    const rs2hpm::ModeTotals& totals = node.totals();
+    const std::uint64_t quad = node.quad_total();
+    // The guard is unconditional in every build: subtracting a baseline
+    // from reset counters would wrap the uint64 deltas into astronomical
+    // garbage that no downstream check could attribute.
+    const bool monotone = probe_primed && totals.covers(probe_prev) &&
+                          quad >= probe_prev_quad;
+    if (monotone) {
+      tally.delta += totals.since(probe_prev);
+      tally.quad_surplus += quad - probe_prev_quad;
+      ++tally.sampled;
+    } else if (probe_primed) {
+      // Counter reset (node reboot) between samples: drop this interval's
+      // contribution and re-establish the baseline.
+      ++tally.reprimed;
+    } else {
+      ++tally.newly_primed;
+    }
+    probe_prev = totals;
+    probe_prev_quad = quad;
+    probe_primed = true;
   }
 
   cluster::Node node;
@@ -187,16 +203,13 @@ class NodeLane {
 
   /// Input for the current horizon (serial phases write, lane reads).
   LaneStep step;
-  /// Output: busy seconds this lane contributed in the most recent
-  /// interval (also recorded per interval in `samples`).
+  /// Busy seconds this lane contributed in the most recent interval.
   double interval_busy_s = 0.0;
 
   /// Lane-owned daemon baseline (was SamplingDaemon's per-node state).
   rs2hpm::ModeTotals probe_prev;
   std::uint64_t probe_prev_quad = 0;
   bool probe_primed = true;
-  /// Output: one probe sample per horizon interval, in interval order.
-  std::vector<LaneSample> samples;
 };
 
 }  // namespace p2sim::workload

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/power2/kernel_desc.hpp"
 #include "src/workload/kernels.hpp"
 
@@ -60,18 +62,26 @@ TEST(Profiler, TotalSumsSections) {
 TEST(Profiler, LongSectionSurvivesCounterWrap) {
   // A section longer than the 32-bit cycle wrap must still report exact
   // totals (the profiler chunks its monitor updates).
+  // The simulator's cost is per instruction, so the chain is padded with
+  // dependent square roots: 15 cycles each and no HPM counter of their
+  // own.  8 adds + 120 sqrts take ~1800 cycles per iteration, so 3M
+  // iterations cross 2^32 cycles with ~14x fewer instructions than a
+  // pure add chain would need.
   power2::KernelBuilder b("long");
   std::int16_t prev = power2::kNoDep;
   for (int i = 0; i < 8; ++i) prev = b.fp_add(prev);
-  // ~16 cycles/iter x 400M iters ~ 6.4e9 cycles > 2^32.
-  const power2::KernelDesc k = b.warmup(0).measure(400'000'000).build();
+  for (int i = 0; i < 120; ++i) prev = b.fp_sqrt(prev);
+  constexpr std::uint64_t kIters = 3'000'000;
+  const power2::KernelDesc k = b.warmup(0).measure(kIters).build();
   ProgramProfiler prof;
   const SectionReport& s = prof.run_section("marathon", k);
-  EXPECT_GT(s.counts.cycles, 1ull << 32);
+  // At least 1.2 wraps' worth of cycles, so the section really spans the
+  // 32-bit counter wrap and the chunked monitor updates.
+  EXPECT_GE(s.counts.cycles, (1ull << 32) * 6 / 5);
   EXPECT_EQ(s.delta.user_at(hpm::HpmCounter::kUserCycles), s.counts.cycles);
   EXPECT_EQ(s.delta.user_at(hpm::HpmCounter::kFpAdd0) +
                 s.delta.user_at(hpm::HpmCounter::kFpAdd1),
-            8ull * 400'000'000ull);
+            8ull * kIters);
 }
 
 TEST(Profiler, FormatListsSectionsAndTotal) {

@@ -8,6 +8,7 @@
 // any span fails loudly with the first differing byte's context.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -63,6 +64,52 @@ TEST(ParallelDeterminism, MoreThreadsThanNodesMatchesSerial) {
   expect_identical(campaign_fingerprint(tiny, 1),
                    campaign_fingerprint(tiny, 8),
                    "threads=8 on 3 nodes vs serial");
+}
+
+// The lane pipeline adds each worker's probes into a tally owned by its
+// shard, and the fold adds the shards.  These pin that worker-side fold
+// against the serial one where the shard map is least regular.
+TEST(ParallelDeterminism, UnevenShardsMatchSerial) {
+  // 13 lanes over 4 workers: shards of 3, 3, 3 and 4 lanes.
+  DriverConfig odd = small_config(4, 13);
+  odd.jobgen.node_choices = {1, 2, 4, 8};
+  odd.jobgen.node_weights = {4, 3, 6, 14};
+  expect_identical(campaign_fingerprint(odd, 1),
+                   campaign_fingerprint(odd, 4),
+                   "13 nodes threads=4 vs serial");
+}
+
+TEST(ParallelDeterminism, EmptyShardsContributeZero) {
+  // 2 lanes over 4 workers: two shards own no lane, so their tallies must
+  // stay zero through the fold.
+  DriverConfig tiny = small_config(3, 2);
+  tiny.jobgen.node_choices = {1, 2};
+  tiny.jobgen.node_weights = {3, 1};
+  tiny.sched.drain_threshold_nodes = 2;
+  expect_identical(campaign_fingerprint(tiny, 1),
+                   campaign_fingerprint(tiny, 4),
+                   "2 nodes threads=4 vs serial");
+}
+
+TEST(ParallelDeterminism, FaultedTalliesMatchSerialAtThreeThreads) {
+  // The reference crash rate gives this small config no crash at all, so
+  // crashes are made common here: a crashed node is down (unreachable)
+  // until its reboot, and reprimes at the first probe after it.
+  DriverConfig churn = faulted_config();
+  churn.faults.node_crashes_per_node_day = 0.5;
+  // The campaign must reach every non-sampled probe arm, or the
+  // comparison below would not cover their tallies.
+  const CampaignResult r = run_campaign(churn);
+  std::int64_t reprimed = 0;
+  for (const rs2hpm::IntervalRecord& rec : r.intervals) {
+    reprimed += rec.nodes_reprimed;
+  }
+  EXPECT_GT(r.faults.node_samples_unreachable, 0);  // down
+  EXPECT_GT(r.faults.node_samples_lost, 0);         // lost
+  EXPECT_GT(reprimed, 0);                           // reprimed
+  expect_identical(campaign_fingerprint(churn, 1),
+                   campaign_fingerprint(churn, 3),
+                   "crash-churn threads=3 vs 1");
 }
 
 TEST(ParallelDeterminism, RepeatedRunsAreStableAtFixedThreadCount) {

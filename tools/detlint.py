@@ -960,7 +960,7 @@ def self_test() -> int:
             tmp, "src/workload/driver.cpp",
             "void WorkloadDriver::phase_nfs_grant(CampaignState& st) {",
             "void WorkloadDriver::phase_nfs_grant(CampaignState& st) {\n"
-            "  st.pool.run(0, [](std::size_t, std::size_t) {});"),
+            "  st.pool.run(0, [](int, std::size_t, std::size_t) {});"),
         "serial phase WorkloadDriver::phase_nfs_grant dispatches")
 
     scenario(
