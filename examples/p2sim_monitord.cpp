@@ -12,7 +12,8 @@
 //   GET /quitquitquit   graceful shutdown
 //
 // Scrapes ride the lock-free metrics plane: N concurrent clients never
-// perturb campaign results (bench_scrape_overhead proves bit-identity).
+// perturb campaign results (perf_gate's scrape.exports_identical row
+// proves bit-identity).
 //
 //   p2sim_monitord [--port N] [--port-file FILE] [--days N] [--nodes N]
 //                  [--threads N] [--faults reference|off] [--seed S]

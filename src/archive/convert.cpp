@@ -65,6 +65,7 @@ std::vector<rs2hpm::IntervalRecord> to_intervals(const ArchiveReader& reader,
 pbs::JobDatabase to_jobs(const ArchiveReader& reader,
                          ArchiveReport* report) {
   pbs::JobDatabase db;
+  db.reserve(reader.rows(TableKind::kJobs));
   std::vector<std::vector<std::uint64_t>> cols(
       column_count(TableKind::kJobs));
   std::int64_t ordinal = 0;

@@ -43,6 +43,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -163,10 +164,12 @@ inline std::uint32_t get_le32(const char* p) {
 }
 
 inline std::uint64_t get_le64(const char* p) {
+  // One load: the byte-at-a-time form is not merged by the compiler, and
+  // this sits on every decoded varint.
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
   return v;
 }
@@ -194,6 +197,29 @@ inline void put_varint(std::string* out, std::uint64_t v) {
 /// Reads one varint from [*p, end); advances *p.  Returns false on
 /// truncation or on a varint wider than 64 bits.
 inline bool get_varint(const char** p, const char* end, std::uint64_t* v) {
+  // Fast paths with the loop's exact result.  One byte (a zero or tiny
+  // delta, about half of all archive varints) returns at once.  With a
+  // whole word readable, a varint of up to 8 bytes decodes with no branch
+  // per byte: the lowest clear high bit ends it, and three shift-and-mask
+  // steps pack its 7-bit groups.  The loop takes the payload's tail and
+  // wider varints.
+  if (*p != end && static_cast<unsigned char>(**p) < 0x80) {
+    *v = static_cast<unsigned char>(*(*p)++);
+    return true;
+  }
+  if (end - *p >= 8) {
+    const std::uint64_t word = get_le64(*p);
+    const std::uint64_t stops = ~word & 0x8080808080808080ULL;
+    if (stops != 0) {
+      std::uint64_t x = word & (stops ^ (stops - 1)) & 0x7f7f7f7f7f7f7f7fULL;
+      x = ((x & 0x7f007f007f007f00ULL) >> 1) | (x & 0x007f007f007f007fULL);
+      x = ((x & 0x3fff00003fff0000ULL) >> 2) | (x & 0x00003fff00003fffULL);
+      x = ((x & 0x0fffffff00000000ULL) >> 4) | (x & 0x000000000fffffffULL);
+      *v = x;
+      *p += std::countr_zero(stops) / 8 + 1;
+      return true;
+    }
+  }
   std::uint64_t out = 0;
   int shift = 0;
   while (*p != end && shift < 64) {

@@ -50,6 +50,7 @@ inline constexpr double kMinAnalyzedWalltimeS = 600.0;
 class JobDatabase {
  public:
   void add(JobRecord rec) { records_.push_back(std::move(rec)); }
+  void reserve(std::size_t n) { records_.reserve(n); }
 
   const std::vector<JobRecord>& all() const { return records_; }
   std::size_t size() const { return records_.size(); }

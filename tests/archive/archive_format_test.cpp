@@ -170,17 +170,28 @@ TEST(ArchiveFormat, IdenticalInputsProduceIdenticalBytes) {
 }
 
 TEST(ArchiveFormat, VarintRoundTripsExtremes) {
-  for (std::uint64_t v :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
-        std::uint64_t{128}, std::uint64_t{1} << 35,
-        ~std::uint64_t{0}, ~std::uint64_t{0} - 1}) {
+  std::vector<std::uint64_t> values{0, 1, 127, 128, std::uint64_t{1} << 35,
+                                    ~std::uint64_t{0}, ~std::uint64_t{0} - 1};
+  // Both sides of every length boundary, 1 to 10 bytes.
+  for (int bits = 7; bits < 64; bits += 7) {
+    values.push_back((std::uint64_t{1} << bits) - 1);
+    values.push_back(std::uint64_t{1} << bits);
+  }
+  for (std::uint64_t v : values) {
     std::string buf;
     put_varint(&buf, v);
-    const char* p = buf.data();
-    std::uint64_t out = 0;
-    ASSERT_TRUE(get_varint(&p, buf.data() + buf.size(), &out));
-    EXPECT_EQ(out, v);
-    EXPECT_EQ(p, buf.data() + buf.size());
+    const std::size_t len = buf.size();
+    // Exactly the varint, then followed by a whole word of bytes that
+    // would extend or end it if misread (the word-at-a-time path).
+    for (const std::string& tail :
+         {std::string(), std::string(8, '\xff'), std::string(8, '\0')}) {
+      const std::string padded = buf + tail;
+      const char* p = padded.data();
+      std::uint64_t out = 0;
+      ASSERT_TRUE(get_varint(&p, padded.data() + padded.size(), &out));
+      EXPECT_EQ(out, v);
+      EXPECT_EQ(p, padded.data() + len);
+    }
     EXPECT_EQ(unzigzag64(zigzag64(v)), v);
   }
 }

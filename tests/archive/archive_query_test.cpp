@@ -198,8 +198,8 @@ TEST(ArchiveQuery, RottedChunkIsSkippedAndReportedInRecoveringScan) {
 TEST(ArchiveQuery, DriverArchiveBytesAreThreadInvariant) {
   // The end-to-end determinism claim: the same campaign run at different
   // thread counts with the archive writer enabled produces the same file
-  // bytes.  (The full paper-scale sweep lives in bench_parallel_speedup;
-  // this is the tier-1 guard.)
+  // bytes.  (The paper-scale sweep is perf_gate's
+  // campaign.archive_identical row; this is the tier-1 guard.)
   std::string bytes_by_threads[2];
   const std::string path = testing::TempDir() + "p2sim_query_drv.p2a";
   for (int i = 0; i < 2; ++i) {
