@@ -27,12 +27,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -57,6 +55,7 @@
 #include "src/telemetry/session.hpp"
 #include "src/util/http_client.hpp"
 #include "src/util/http_server.hpp"
+#include "src/util/numfmt.hpp"
 #include "src/workload/driver.hpp"
 
 namespace {
@@ -172,10 +171,8 @@ class Report {
 std::optional<std::int64_t> bench_days() {
   const char* env = std::getenv("P2SIM_BENCH_DAYS");
   if (env == nullptr) return 270;
-  const char* end = env + std::strlen(env);
-  std::int64_t days = 0;
-  const auto [stop, ec] = std::from_chars(env, end, days);
-  if (ec != std::errc{} || stop != end || days <= 0) return std::nullopt;
+  const auto days = util::parse_number<std::int64_t>(env);
+  if (!days || *days <= 0) return std::nullopt;
   return days;
 }
 

@@ -45,12 +45,14 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "src/analysis/loss.hpp"
 #include "src/core/simulation.hpp"
 #include "src/telemetry/reporter.hpp"
 #include "src/telemetry/session.hpp"
 #include "src/util/http_client.hpp"
+#include "src/util/numfmt.hpp"
 #include "src/workload/driver.hpp"
 
 namespace {
@@ -88,18 +90,25 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return argv[++i];
     };
+    // Numeric flags parse the whole value; "abc" or "80x" is a usage error.
+    auto number = [&](auto& out) {
+      const auto v = p2sim::util::parse_number<
+          std::remove_reference_t<decltype(out)>>(value());
+      if (!v) usage_and_exit(argv[0]);
+      out = *v;
+    };
     if (arg == "--days") {
-      opt.days = std::atoll(value());
+      number(opt.days);
     } else if (arg == "--nodes") {
-      opt.nodes = std::atoi(value());
+      number(opt.nodes);
     } else if (arg == "--threads") {
-      opt.threads = std::atoi(value());
+      number(opt.threads);
     } else if (arg == "--faults") {
       opt.faults = value();
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 0);
+      number(opt.seed);
     } else if (arg == "--stride") {
-      opt.stride = std::atoll(value());
+      number(opt.stride);
     } else if (arg == "--outdir") {
       opt.outdir = value();
     } else if (arg == "--quiet") {
@@ -107,7 +116,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--checkpoint-dir") {
       opt.checkpoint_dir = value();
     } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = std::atoll(value());
+      number(opt.checkpoint_every);
     } else if (arg == "--resume") {
       opt.resume = true;
     } else if (arg == "--connect") {
@@ -141,15 +150,16 @@ int connect_and_report(const std::string& endpoint) {
     return 2;
   }
   const std::string host = endpoint.substr(0, colon);
-  const int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
+  const auto port = p2sim::util::parse_number<int>(
+      std::string_view(endpoint).substr(colon + 1));
+  if (!port || *port <= 0 || *port > 65535) {
     std::fprintf(stderr, "--connect: bad port in %s\n", endpoint.c_str());
     return 2;
   }
   bool ok = true;
   for (const char* target : {"/healthz", "/api/days"}) {
     const p2sim::util::HttpFetch got = p2sim::util::http_get(
-        host, static_cast<std::uint16_t>(port), target);
+        host, static_cast<std::uint16_t>(*port), target);
     if (!got.ok || got.status != 200) {
       std::fprintf(stderr, "GET %s%s failed: %s (status %d)\n",
                    endpoint.c_str(), target,

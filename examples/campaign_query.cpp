@@ -21,6 +21,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/analysis/record_io.hpp"
@@ -28,6 +29,7 @@
 #include "src/archive/query.hpp"
 #include "src/archive/reader.hpp"
 #include "src/archive/writer.hpp"
+#include "src/util/numfmt.hpp"
 
 namespace {
 
@@ -169,14 +171,25 @@ int main(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Numeric flags parse the whole value; "abc" or "3x" is a usage error.
+    auto number = [&](auto& out) {
+      const auto v = p2sim::util::parse_number<
+          std::remove_reference_t<decltype(out)>>(argv[++i]);
+      if (!v) {
+        std::fprintf(stderr, "bad value for %s: '%s'\n%s", arg.c_str(),
+                     argv[i], kUsage);
+        std::exit(2);
+      }
+      out = *v;
+    };
     if (arg == "--top" && i + 1 < argc) {
-      top_n = static_cast<std::size_t>(std::atoll(argv[++i]));
+      number(top_n);
     } else if (arg == "--nodes" && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
+      number(nodes);
     } else if (arg == "--threshold" && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
+      number(threshold);
     } else if (arg == "--max" && i + 1 < argc) {
-      max_rows = static_cast<std::size_t>(std::atoll(argv[++i]));
+      number(max_rows);
     } else if (arg == "--column" && i + 1 < argc) {
       column = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {

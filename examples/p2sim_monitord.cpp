@@ -4,7 +4,7 @@
 // installed and serves the live monitoring plane over an embedded HTTP
 // server bound to 127.0.0.1:
 //
-//   GET /metrics        Prometheus scrape (consistent even mid-interval)
+//   GET /metrics        Prometheus scrape (lane counters as of the last fold)
 //   GET /healthz        liveness + cumulative campaign health (JSON)
 //   GET /api/days       per-day Gflops / coverage tables (JSON)
 //   GET /api/jobs       recently finished jobs (JSON, ?limit=N)
@@ -42,12 +42,14 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "src/core/simulation.hpp"
 #include "src/telemetry/service.hpp"
 #include "src/telemetry/session.hpp"
 #include "src/util/http_client.hpp"
 #include "src/util/http_server.hpp"
+#include "src/util/numfmt.hpp"
 #include "src/workload/driver.hpp"
 
 namespace {
@@ -84,24 +86,31 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return argv[++i];
     };
+    // Numeric flags parse the whole value; "abc" or "80x" is a usage error.
+    auto number = [&](auto& out) {
+      const auto v = p2sim::util::parse_number<
+          std::remove_reference_t<decltype(out)>>(value());
+      if (!v) usage_and_exit(argv[0]);
+      out = *v;
+    };
     if (arg == "--port") {
-      opt.port = std::atoi(value());
+      number(opt.port);
     } else if (arg == "--port-file") {
       opt.port_file = value();
     } else if (arg == "--days") {
-      opt.days = std::atoll(value());
+      number(opt.days);
     } else if (arg == "--nodes") {
-      opt.nodes = std::atoi(value());
+      number(opt.nodes);
     } else if (arg == "--threads") {
-      opt.threads = std::atoi(value());
+      number(opt.threads);
     } else if (arg == "--faults") {
       opt.faults = value();
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 0);
+      number(opt.seed);
     } else if (arg == "--campaigns") {
-      opt.campaigns = std::atoll(value());
+      number(opt.campaigns);
     } else if (arg == "--pause-ms") {
-      opt.pause_ms = std::atoll(value());
+      number(opt.pause_ms);
     } else if (arg == "--scrape-dump") {
       opt.scrape_dump = value();
     } else if (arg == "--quiet") {

@@ -23,10 +23,12 @@
 #include <exception>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/analysis/record_io.hpp"
 #include "src/core/registry.hpp"
+#include "src/util/numfmt.hpp"
 #include "src/workload/checkpoint.hpp"
 
 namespace {
@@ -50,6 +52,32 @@ void abort_after_hook(const char* point, std::int64_t /*value*/) {
   }
 }
 
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "usage: run_experiment [--days N] [--nodes N] [--threads N] "
+      "[--faults] [--signature-store FILE] [--checkpoint-dir DIR] "
+      "[--checkpoint-every N] [--resume] [--records BASE] "
+      "[--archive FILE] [--abort-after N] <experiment>...\n"
+      "       run_experiment --list\n"
+      "--threads N runs the node-advance phase on N workers (0 = one\n"
+      "per core); every output is bit-identical for every value.\n"
+      "--signature-store FILE persists measured kernel signatures so\n"
+      "repeated runs skip the cycle-accurate cold start (bit-identical\n"
+      "either way).\n"
+      "--checkpoint-dir DIR writes a durable campaign checkpoint every\n"
+      "--checkpoint-every N intervals (default 96 = one simulated day);\n"
+      "--resume continues from the newest intact generation.  Resumed\n"
+      "campaigns are bit-identical to uninterrupted ones.\n"
+      "--records BASE stores the campaign to BASE.intervals and\n"
+      "BASE.jobs (record_io v2, commit-trailed).\n"
+      "--archive FILE stores the campaign as a columnar archive the\n"
+      "campaign_query tool scans directly (bit-identical bytes for\n"
+      "every thread count).\n"
+      "--abort-after N aborts the campaign after N intervals: partial\n"
+      "outputs are removed and the exit status is 1.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,15 +95,27 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Numeric flags parse the whole value; "abc" or "3x" is a usage error.
+    auto number = [&](auto& out) {
+      const auto v = p2sim::util::parse_number<
+          std::remove_reference_t<decltype(out)>>(argv[++i]);
+      if (!v) {
+        std::fprintf(stderr, "bad value for %s: '%s'\n", arg.c_str(),
+                     argv[i]);
+        print_usage(stderr);
+        std::exit(2);
+      }
+      out = *v;
+    };
     if (arg == "--list") {
       list_experiments();
       return 0;
     } else if (arg == "--days" && i + 1 < argc) {
-      days = std::atoll(argv[++i]);
+      number(days);
     } else if (arg == "--nodes" && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
+      number(nodes);
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      number(threads);
     } else if (arg == "--faults") {
       faults = true;
     } else if (arg == "--signature-store" && i + 1 < argc) {
@@ -83,7 +123,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
       checkpoint_dir = argv[++i];
     } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      checkpoint_every = std::atoll(argv[++i]);
+      number(checkpoint_every);
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--records" && i + 1 < argc) {
@@ -91,30 +131,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--archive" && i + 1 < argc) {
       archive_path = argv[++i];
     } else if (arg == "--abort-after" && i + 1 < argc) {
-      g_abort_after = std::atoll(argv[++i]);
+      number(g_abort_after);
     } else if (arg == "--help") {
-      std::printf(
-          "usage: run_experiment [--days N] [--nodes N] [--threads N] "
-          "[--faults] [--signature-store FILE] [--checkpoint-dir DIR] "
-          "[--checkpoint-every N] [--resume] [--records BASE] "
-          "[--archive FILE] [--abort-after N] <experiment>...\n"
-          "       run_experiment --list\n"
-          "--threads N runs the node-advance phase on N workers (0 = one\n"
-          "per core); every output is bit-identical for every value.\n"
-          "--signature-store FILE persists measured kernel signatures so\n"
-          "repeated runs skip the cycle-accurate cold start (bit-identical\n"
-          "either way).\n"
-          "--checkpoint-dir DIR writes a durable campaign checkpoint every\n"
-          "--checkpoint-every N intervals (default 96 = one simulated day);\n"
-          "--resume continues from the newest intact generation.  Resumed\n"
-          "campaigns are bit-identical to uninterrupted ones.\n"
-          "--records BASE stores the campaign to BASE.intervals and\n"
-          "BASE.jobs (record_io v2, commit-trailed).\n"
-          "--archive FILE stores the campaign as a columnar archive the\n"
-          "campaign_query tool scans directly (bit-identical bytes for\n"
-          "every thread count).\n"
-          "--abort-after N aborts the campaign after N intervals: partial\n"
-          "outputs are removed and the exit status is 1.\n");
+      print_usage(stdout);
       return 0;
     } else {
       names.push_back(arg);

@@ -17,12 +17,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <type_traits>
 
 #include "src/analysis/record_io.hpp"
 #include "src/analysis/report.hpp"
 #include "src/analysis/tables.hpp"
 #include "src/core/simulation.hpp"
 #include "src/util/csv.hpp"
+#include "src/util/numfmt.hpp"
 
 namespace {
 
@@ -51,12 +53,19 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return argv[++i];
     };
+    // Numeric flags parse the whole value; "abc" or "80x" is a usage error.
+    auto number = [&](auto& out) {
+      const auto v = p2sim::util::parse_number<
+          std::remove_reference_t<decltype(out)>>(value());
+      if (!v) usage_and_exit(argv[0]);
+      out = *v;
+    };
     if (arg == "--days") {
-      opt.days = std::atoll(value());
+      number(opt.days);
     } else if (arg == "--nodes") {
-      opt.nodes = std::atoi(value());
+      number(opt.nodes);
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 0);
+      number(opt.seed);
     } else if (arg == "--outdir") {
       opt.outdir = value();
     } else if (arg == "--waitstates") {

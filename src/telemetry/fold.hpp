@@ -1,26 +1,17 @@
-// Deterministic pairwise tree reduction — the one merge shape shared by the
-// driver's interval fold and the monitoring plane's merge-on-read.
+// Deterministic pairwise tree reduction — the merge shape of the driver's
+// interval fold of the lanes' busy seconds.
 //
-// Both consumers reduce per-lane values into campaign totals, and both must
-// produce the same result for every thread count and every scrape timing.
 // For integer tallies any order works; for floating-point accumulators
 // (lane busy seconds) association order changes the rounding, so the shape
 // of the reduction *is* part of the determinism contract.  tree_fold fixes
 // that shape as a function of n alone: [lo, hi) always splits at
 // lo + (hi - lo) / 2, giving an O(log n) critical path when the leaves are
 // expensive and — more importantly — an association order that no caller
-// (serial fold, parallel fold, scrape residue) can accidentally vary.
-//
-// PR 4 chose a serial ascending fold and PR 8 duplicated it in
-// consistent_snapshot; both now route through this header so the fold path
-// and the scrape path cannot drift apart.
+// can accidentally vary with the thread count or the horizon split.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-
-#include "src/check/annotate.hpp"
-#include "src/telemetry/shard.hpp"
 
 namespace p2sim::telemetry {
 
@@ -47,27 +38,6 @@ auto tree_fold(std::size_t n, const Leaf& leaf, const Merge& merge)
   using Acc = decltype(leaf(std::size_t{0}));
   if (n == 0) return Acc{};
   return detail::tree_fold_range(0, n, leaf, merge);
-}
-
-/// Tree-merges n MetricShards into one accumulated shard.  `shard_at(i)`
-/// returns (a reference to) the i-th shard; the source shards are not
-/// modified.  Shard tallies are integer counters, so the tree shape is a
-/// latency choice here — but routing every shard reduction through this one
-/// helper is what keeps the fold and scrape paths identical by
-/// construction.
-template <typename ShardAt>
-MetricShard tree_fold_shards(std::size_t n, const ShardAt& shard_at) {
-  return tree_fold(
-      n,
-      [&shard_at](std::size_t i) {
-        MetricShard s;
-        s.merge_from(shard_at(i));
-        return s;
-      },
-      [](MetricShard a, const MetricShard& b) {
-        a.merge_from(b);
-        return a;
-      });
 }
 
 }  // namespace p2sim::telemetry

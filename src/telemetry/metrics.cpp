@@ -282,9 +282,9 @@ MetricsSnapshot Registry::snapshot() const {
   return out;
 }
 
-std::string Registry::render_prometheus(const MetricsSnapshot& snap) {
+std::string Registry::prometheus_text() const {
   std::ostringstream os;
-  for (const MetricSample& s : snap) {
+  for (const MetricSample& s : snapshot()) {
     os << "# HELP " << s.name << ' ' << escape_help(s.help) << '\n';
     os << "# TYPE " << s.name << ' ';
     switch (s.kind) {
@@ -313,10 +313,6 @@ std::string Registry::render_prometheus(const MetricsSnapshot& snap) {
     }
   }
   return os.str();
-}
-
-std::string Registry::prometheus_text() const {
-  return render_prometheus(snapshot());
 }
 
 std::string Registry::render_jsonl(const MetricsSnapshot& snap,

@@ -185,7 +185,6 @@ class Registry {
 
   /// Prometheus text exposition format, metrics in name order.
   std::string prometheus_text() const;
-  static std::string render_prometheus(const MetricsSnapshot& snap);
 
   /// One JSON object per metric per line, in name order.  Wall-clock
   /// metrics are excluded unless asked for, so the default export is

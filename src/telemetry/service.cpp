@@ -1,18 +1,32 @@
 #include "src/telemetry/service.hpp"
 
-#include <algorithm>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
+
+#include "src/util/numfmt.hpp"
 
 namespace p2sim::telemetry {
 namespace {
 
-std::size_t parse_limit(const std::string& query, std::size_t fallback) {
-  const std::size_t pos = query.find("limit=");
-  if (pos == std::string::npos) return fallback;
-  const long v = std::atol(query.c_str() + pos + 6);
-  return v > 0 ? static_cast<std::size_t>(v) : fallback;
+/// The `limit` parameter of an `&`-separated query: `fallback` when no
+/// key is exactly `limit`, nullopt when its value is not a positive
+/// integer that fits a size_t.
+std::optional<std::size_t> parse_limit(std::string_view query,
+                                       std::size_t fallback) {
+  while (!query.empty()) {
+    const std::size_t amp = query.find('&');
+    const std::string_view pair = query.substr(0, amp);
+    query = amp == std::string_view::npos ? "" : query.substr(amp + 1);
+    const std::size_t eq = pair.find('=');
+    if (pair.substr(0, eq) != "limit") continue;
+    if (eq == std::string_view::npos) return std::nullopt;
+    const auto v = util::parse_number<std::size_t>(pair.substr(eq + 1));
+    if (!v || *v == 0) return std::nullopt;
+    return v;
+  }
+  return fallback;
 }
 
 std::string json_bool(bool b) { return b ? "true" : "false"; }
@@ -89,7 +103,7 @@ HealthSnapshot MonitorService::health() const {
 }
 
 std::string MonitorService::metrics_text() const {
-  return Registry::render_prometheus(consistent_snapshot(session_));
+  return session_.registry.prometheus_text();
 }
 
 std::string MonitorService::healthz_json() const {
@@ -207,8 +221,15 @@ util::HttpResponse MonitorService::handle(const util::HttpRequest& req) {
     return resp;
   }
   if (req.path == kJobsPath) {
+    const std::optional<std::size_t> limit =
+        parse_limit(req.query, cfg_.max_job_samples);
+    if (!limit) {
+      resp.status = 400;
+      resp.body = "limit must be a positive integer\n";
+      return resp;
+    }
     resp.content_type = "application/json";
-    resp.body = jobs_json(parse_limit(req.query, cfg_.max_job_samples));
+    resp.body = jobs_json(*limit);
     return resp;
   }
   if (req.path == kTracePath) {

@@ -6,24 +6,28 @@
 // wall-clock p2sim_server_* metrics (server loop thread); and its handle()
 // method is the HttpHandler that routes the endpoints:
 //
-//   GET /metrics        Prometheus exposition — consistent_snapshot(), so
-//                       a scrape mid-interval never tears the shard fold
+//   GET /metrics        Prometheus exposition of a plain registry
+//                       snapshot; the lane counters read as of the last
+//                       fold, never torn or double-counted
 //   GET /healthz        liveness + cumulative HealthReporter totals (JSON)
 //   GET /api/days       per-day Gflops and coverage tables (JSON)
 //   GET /api/jobs       recent finished jobs, newest last (JSON;
-//                       ?limit=N caps the returned window)
+//                       ?limit=N caps the returned window; 400 unless N
+//                       is a positive integer)
 //   GET /trace          last completed campaign's Chrome trace JSON
 //                       (503 until a campaign finishes)
 //   GET /quitquitquit   asks the daemon to exit (sets quit_requested())
 //
 // Locking: campaign-side state (reporter, job ring, trace body) sits under
 // svc_mu_, shared by the driver thread and the loop thread — never by the
-// campaign's parallel workers, whose only interaction with a scrape is the
-// lock-free metrics plane.  The server must be stopped before this object
-// (or the Session it references) is destroyed.
+// campaign's parallel workers, which touch neither this object nor the
+// registry; a scrape reads the lock-free metrics plane, where the lane
+// counters move only at the serial fold.  The server must be stopped
+// before this object (or the Session it references) is destroyed.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 

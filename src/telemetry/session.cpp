@@ -1,11 +1,5 @@
 #include "src/telemetry/session.hpp"
 
-#include <algorithm>
-#include <thread>
-#include <utility>
-
-#include "src/telemetry/fold.hpp"
-
 namespace p2sim::telemetry {
 
 namespace detail {
@@ -19,85 +13,5 @@ ScopedSession::ScopedSession(Session& session) : prev_(detail::g_current) {
 }
 
 ScopedSession::~ScopedSession() { detail::g_current = prev_; }
-
-Session::FoldGuard::FoldGuard(Session* session) : session_(session) {
-  if (session_ != nullptr) {
-    session_->fold_seq_.fetch_add(1, std::memory_order_acq_rel);
-  }
-}
-
-Session::FoldGuard::~FoldGuard() {
-  if (session_ != nullptr) {
-    session_->fold_seq_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void Session::publish_live_shards(std::vector<const MetricShard*> shards) {
-  std::lock_guard<std::mutex> lock(live_mu_);
-  live_shards_ = std::move(shards);
-}
-
-void Session::retract_live_shards() {
-  std::lock_guard<std::mutex> lock(live_mu_);
-  live_shards_.clear();
-}
-
-MetricShard Session::live_shard_residue() const {
-  std::lock_guard<std::mutex> lock(live_mu_);
-  return tree_fold_shards(
-      live_shards_.size(),
-      [this](std::size_t i) -> const MetricShard& { return *live_shards_[i]; });
-}
-
-ScopedLiveShards::ScopedLiveShards(Session* session,
-                                   std::vector<const MetricShard*> shards)
-    : session_(session) {
-  if (session_ != nullptr) {
-    session_->publish_live_shards(std::move(shards));
-  }
-}
-
-ScopedLiveShards::~ScopedLiveShards() {
-  if (session_ != nullptr) session_->retract_live_shards();
-}
-
-MetricsSnapshot consistent_snapshot(const Session& session) {
-  for (;;) {
-    const std::uint64_t epoch = session.fold_epoch();
-    if ((epoch & 1U) != 0) {
-      std::this_thread::yield();  // fold in flight; folds are short
-      continue;
-    }
-    MetricsSnapshot snap = session.registry.snapshot();
-    const MetricShard residue = session.live_shard_residue();
-    if (session.fold_epoch() != epoch) continue;
-    if (residue.empty()) return snap;
-    for (const MetricShard::Field& f : MetricShard::fields()) {
-      const std::uint64_t add = (residue.*f.value)();
-      if (add == 0) continue;
-      const auto it = std::find_if(
-          snap.begin(), snap.end(),
-          [&](const MetricSample& s) { return s.name == f.name; });
-      if (it != snap.end()) {
-        it->counter_value += add;
-        continue;
-      }
-      // First scrape before the first fold: synthesize the sample in
-      // sorted position so the exposition stays name-ordered.
-      MetricSample s;
-      s.name = f.name;
-      s.kind = MetricKind::kCounter;
-      s.help = f.help;
-      s.counter_value = add;
-      const auto pos = std::lower_bound(
-          snap.begin(), snap.end(), s.name,
-          [](const MetricSample& a, const std::string& n) {
-            return a.name < n;
-          });
-      snap.insert(pos, std::move(s));
-    }
-    return snap;
-  }
-}
 
 }  // namespace p2sim::telemetry

@@ -13,14 +13,9 @@
 // tracer, reporter) still builds either way.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
-#include <vector>
 
-#include "src/check/annotate.hpp"
 #include "src/telemetry/metrics.hpp"
-#include "src/telemetry/shard.hpp"
 #include "src/telemetry/trace.hpp"
 
 #ifndef P2SIM_TELEMETRY_COMPILED
@@ -45,74 +40,7 @@ class Session {
   /// campaign clock, so their spans advance this deterministic cursor —
   /// one session, one engine timeline.
   double engine_clock_s = 0.0;
-
-  // --- the monitoring plane's view of a running campaign ----------------
-  //
-  // A scrape that lands between the parallel node-advance and the serial
-  // shard fold must not double-count (shard residue + already-folded
-  // counters) or drop counts (shards just reset, counters not yet
-  // bumped).  The driver brackets its fold+reset in a FoldGuard, which
-  // flips fold_seq_ odd for the duration; consistent_snapshot() retries
-  // around odd or changed epochs, exactly like the histogram seqlock.
-  //
-  // Lane shards only exist while the driver runs, so the driver publishes
-  // the shard pointer list on entry and retracts it on exit; readers copy
-  // the residue under live_mu_, which publish/retract also take — workers
-  // never do, so the scrape path cannot stall the parallel region.
-
-  /// Epoch counter for the shard fold; odd while a fold is in progress.
-  std::uint64_t fold_epoch() const {
-    return fold_seq_.load(std::memory_order_acquire);
-  }
-
-  /// RAII bracket the driver holds while folding shard residue into the
-  /// registry and resetting the shards.  Null-safe: FoldGuard(nullptr) is
-  /// inert, so call sites need no telemetry-off branch.
-  class FoldGuard {
-   public:
-    explicit FoldGuard(Session* session);
-    ~FoldGuard();
-    FoldGuard(const FoldGuard&) = delete;
-    FoldGuard& operator=(const FoldGuard&) = delete;
-
-   private:
-    Session* session_;
-  };
-
-  /// Publishes / retracts the live lane shards (driver entry/exit).
-  void publish_live_shards(std::vector<const MetricShard*> shards);
-  void retract_live_shards();
-
-  /// Sum of every live shard's unfolded tallies; zero when no campaign is
-  /// publishing.  Blocks only against publish/retract, never workers.
-  MetricShard live_shard_residue() const;
-
- private:
-  std::atomic<std::uint64_t> fold_seq_{0};
-  mutable std::mutex live_mu_;
-  std::vector<const MetricShard*> live_shards_ P2SIM_GUARDED_BY(live_mu_);
 };
-
-/// RAII publication of a campaign's lane shards to the session's live
-/// view; null-safe and exception-safe (retracts on unwind, so a scrape
-/// can never observe a dangling shard pointer).
-class ScopedLiveShards {
- public:
-  ScopedLiveShards(Session* session, std::vector<const MetricShard*> shards);
-  ~ScopedLiveShards();
-  ScopedLiveShards(const ScopedLiveShards&) = delete;
-  ScopedLiveShards& operator=(const ScopedLiveShards&) = delete;
-
- private:
-  Session* session_;
-};
-
-/// A registry snapshot that is consistent with respect to the driver's
-/// shard fold: published counters plus unfolded shard residue, taken in a
-/// stable fold epoch.  The residue is merged through MetricShard::fields()
-/// so the scrape and the export agree on names.  Lock-free against the
-/// campaign's writers; retries (with a yield) while a fold is in flight.
-MetricsSnapshot consistent_snapshot(const Session& session);
 
 namespace detail {
 extern Session* g_current;

@@ -870,14 +870,10 @@ void WorkloadDriver::phase_lane_pipeline(CampaignState& st) {
 }
 
 void WorkloadDriver::phase_fold(CampaignState& st) {
-  // Serial merge under the fold guard: the session's fold epoch goes odd
-  // for the duration so a concurrent scrape retries instead of
-  // double-counting folded counters plus not-yet-reset shard residue.
-  auto* tel = telemetry::current();
-  telemetry::Session::FoldGuard fold_guard(tel);
   const auto hu = static_cast<std::size_t>(st.horizon);
   const std::size_t lanes_n = st.lanes.size();
   st.merged.resize(hu);
+  ProbeTally pass;
   for (std::size_t k = 0; k < hu; ++k) {
     CampaignState::MergedInterval& m = st.merged[k];
     // Integer sums: adding the shards' tallies gives the bits the
@@ -886,6 +882,7 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
     for (const std::vector<ProbeTally>& row : st.shard_tallies) {
       m.probes.add(row[k]);
     }
+    pass.add(m.probes);
     // Floating point: the busy seconds keep the fixed lane tree.
     const double* busy = st.pass_busy.data() + k * lanes_n;
     m.busy_s = telemetry::tree_fold(
@@ -895,20 +892,22 @@ void WorkloadDriver::phase_fold(CampaignState& st) {
     // sum is the same no matter where passes break.
     st.result.total_busy_node_seconds += m.busy_s;
   }
-  // One shard merge per pass, through the same pairwise tree the scrape
-  // path uses (telemetry::tree_fold_shards), folded into the registry via
-  // the shard field table — the single registration site for the
-  // p2sim_lane_* counters.  Counter sums are pass-split invariant.
-  telemetry::MetricShard pass_shard = telemetry::tree_fold_shards(
-      lanes_n, [&st](std::size_t i) -> const telemetry::MetricShard& {
-        return st.lanes[i].shard;
-      });
-  for (NodeLane& lane : st.lanes) lane.shard.reset();
-  if (tel != nullptr) {
-    for (const telemetry::MetricShard::Field& f :
-         telemetry::MetricShard::fields()) {
-      tel->registry.counter(f.name, f.help).inc((pass_shard.*f.value)());
-    }
+  // The lane counters advance once per pass, so a scrape sees them as of
+  // the last fold.  All three are registered even when an increment is 0,
+  // which keeps the export's sample set independent of the fault mix.
+  if (auto* tel = telemetry::current()) {
+    tel->registry
+        .counter("p2sim_lane_busy_node_intervals_total",
+                 "Node-intervals spent servicing a PBS job")
+        .inc(pass.busy_node_intervals);
+    tel->registry
+        .counter("p2sim_lane_idle_node_intervals_total",
+                 "Node-intervals spent idle (OS noise only)")
+        .inc(pass.idle_node_intervals);
+    tel->registry
+        .counter("p2sim_lane_down_node_intervals_total",
+                 "Node-intervals spent out of service after a crash")
+        .inc(pass.down_node_intervals);
   }
 }
 
@@ -1117,17 +1116,6 @@ void WorkloadDriver::maybe_checkpoint(CampaignState& st) {
 
 CampaignResult WorkloadDriver::run() {
   CampaignState st(cfg_);
-
-  // Publish the lane shards to the session's live view so a scrape can
-  // merge-on-read the unfolded residue mid-pass; retracted (under the
-  // readers' lock) before the lanes die, even on unwind.
-  std::vector<const telemetry::MetricShard*> shard_ptrs;
-  if (telemetry::current() != nullptr) {
-    shard_ptrs.reserve(st.lanes.size());
-    for (const NodeLane& lane : st.lanes) shard_ptrs.push_back(&lane.shard);
-  }
-  telemetry::ScopedLiveShards live_shards(telemetry::current(),
-                                          std::move(shard_ptrs));
 
   // Per-phase wall-clock sink: observability only (never consulted by the
   // simulation), measured with the sanctioned telemetry wall clock.

@@ -9,21 +9,22 @@
 //   * `measure` runs the interval's batch of cold kernel-signature
 //     measurements on worker-private cores (plan/adopt stay serial);
 //   * `lane-pipeline` drains each per-node lane (NodeLane: node + RNG
-//     stream + fault view + telemetry shard + daemon probe baseline)
-//     end-to-end through the whole horizon — node advance plus the
-//     per-node daemon probe — with no shared writes.
+//     stream + fault view + daemon probe baseline) end-to-end through the
+//     whole horizon — node advance plus the per-node daemon probe — with
+//     no shared writes beyond the worker's own tally row.
 //
 // A *horizon* is the run of consecutive intervals the serial `horizon`
 // phase proves free of cross-node events (no queued or arriving jobs, no
 // job endings before the last interval, no crash draws, nothing crossing a
 // day or checkpoint boundary).  One barrier then advances every lane
-// through all of them, and the serial `fold` phase tree-merges the lane
-// outputs (records, busy seconds, telemetry shards) in a fixed pairwise
-// shape (telemetry::tree_fold), so campaign results, tables, figures, loss
-// reports and simulated-time telemetry exports are bit-identical for every
-// thread count — and for every horizon split, which is what keeps
-// checkpoint cadence and resume invisible in the outputs.  threads == 1
-// bypasses the pool entirely and is the original serial driver.
+// through all of them, and the serial `fold` phase adds the shards'
+// integer tallies and tree-merges the lanes' busy seconds in a fixed
+// pairwise shape (telemetry::tree_fold), so campaign results, tables,
+// figures, loss reports and simulated-time telemetry exports are
+// bit-identical for every thread count — and for every horizon split,
+// which is what keeps checkpoint cadence and resume invisible in the
+// outputs.  threads == 1 bypasses the pool entirely and is the original
+// serial driver.
 #pragma once
 
 #include <array>

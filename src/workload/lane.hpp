@@ -5,18 +5,19 @@
 // intervals end-to-end.  The determinism and data-race story both reduce to
 // one ownership rule: inside the parallel region a worker reads and writes
 // exactly one lane at a time — the Node with its counters, the lane's
-// private RNG stream, its read-only fault view and its telemetry shard —
-// plus two per-pass outputs: its own shard's ProbeTally row (one tally per
-// horizon offset, shared by the shard's lanes and by no other worker) and
-// the lane's own busy-seconds slot per offset.  Everything else it reads is
-// immutable shared input (configs, the job's EventSignature, this
-// horizon's LaneStep and miss bitmap).  Cross-node state (scheduler,
-// daemon, job monitor, the metrics registry, the driver's master RNG) is
-// touched only in the serial phases.  The serial fold adds the shards'
-// tallies — integer sums, the same bits under any grouping — and folds
-// the busy seconds, the one floating-point output, in a fixed pairwise
-// tree (telemetry::tree_fold), so campaign results are bit-identical for
-// every thread count.
+// private RNG stream and its read-only fault view — plus two per-pass
+// outputs: its own shard's ProbeTally row (one tally per horizon offset,
+// shared by the shard's lanes and by no other worker) and the lane's own
+// busy-seconds slot per offset.  Everything else it reads is immutable
+// shared input (configs, the job's EventSignature, this horizon's LaneStep
+// and miss bitmap).  Cross-node state (scheduler, daemon, job monitor, the
+// metrics registry, the driver's master RNG) is touched only in the serial
+// phases.  The serial fold adds the shards' tallies — integer sums, the
+// same bits under any grouping, including the busy/idle/down node-interval
+// counts behind the p2sim_lane_* counters — and folds the busy seconds,
+// the one floating-point output, in a fixed pairwise tree
+// (telemetry::tree_fold), so campaign results are bit-identical for every
+// thread count.
 //
 // RNG ownership: the lane stream is seeded from (campaign seed, node id)
 // through splitmix64 — never from the master stream, whose draw sequence
@@ -35,7 +36,6 @@
 #include "src/fault/fault.hpp"
 #include "src/power2/signature.hpp"
 #include "src/rs2hpm/snapshot.hpp"
-#include "src/telemetry/shard.hpp"
 #include "src/util/rng.hpp"
 
 namespace p2sim::workload {
@@ -58,13 +58,17 @@ struct LaneStep {
   double end_s = 0.0;
 };
 
-/// The daemon probes of some lanes for one interval, summed.  Each field
-/// counts one per-node arm of SamplingDaemon::collect; a cron-missed
-/// interval adds nothing.  Every field is an integer sum, so the total is
-/// the same whichever lanes are added in whichever order: a worker adds
-/// its lanes' probes into its shard's tally while they run, and the
-/// serial fold adds the shards' tallies.
+/// Some lanes' work for one interval, summed: what each node spent the
+/// interval doing, and the daemon probes.  The node-interval fields count
+/// every interval; each probe field counts one per-node arm of
+/// SamplingDaemon::collect, and a cron-missed interval adds no probe.
+/// Every field is an integer sum, so the total is the same whichever lanes
+/// are added in whichever order: a worker adds its lanes into its shard's
+/// tally while they run, and the serial fold adds the shards' tallies.
 struct ProbeTally {
+  std::uint64_t busy_node_intervals = 0;  ///< servicing a PBS job
+  std::uint64_t idle_node_intervals = 0;  ///< idle (OS noise only)
+  std::uint64_t down_node_intervals = 0;  ///< out of service after a crash
   rs2hpm::ModeTotals delta;        ///< counter deltas of the sampled nodes
   std::uint64_t quad_surplus = 0;  ///< quad diagnostic deltas, likewise
   int sampled = 0;       ///< clean monotone delta
@@ -74,6 +78,9 @@ struct ProbeTally {
   int lost = 0;          ///< node up but its fetch was dropped in flight
 
   P2SIM_PAR_SAFE void add(const ProbeTally& o) {
+    busy_node_intervals += o.busy_node_intervals;
+    idle_node_intervals += o.idle_node_intervals;
+    down_node_intervals += o.down_node_intervals;
     delta += o.delta;
     quad_surplus += o.quad_surplus;
     sampled += o.sampled;
@@ -105,17 +112,20 @@ class NodeLane {
 
   /// The parallel-region body: advance this lane's node through one
   /// interval according to `step`, exactly as the serial driver did —
-  /// busy seconds under the job's signature, the remainder idle.  Touches
-  /// only lane-local state.
-  P2SIM_PAR_SAFE void advance_interval(double interval_s) {
+  /// busy seconds under the job's signature, the remainder idle — and
+  /// count the interval as busy, idle or down in `tally`.  The count lives
+  /// here, not in probe(), because a cron-missed interval skips the probe
+  /// but not the node.  Touches only lane-local state and `tally`.
+  P2SIM_PAR_SAFE void advance_interval(double interval_s,
+                                       ProbeTally& tally) {
     interval_busy_s = 0.0;
     if (!node.is_up()) {
-      shard.add_down();
+      ++tally.down_node_intervals;
       return;
     }
     if (step.sig == nullptr) {
       node.advance_idle(interval_s);
-      shard.add_idle();
+      ++tally.idle_node_intervals;
       return;
     }
     node.advance(step.busy_s, step.sig, step.activity);
@@ -123,18 +133,18 @@ class NodeLane {
       node.advance_idle(interval_s - step.busy_s);
     }
     interval_busy_s = step.busy_s;
-    shard.add_busy();
+    ++tally.busy_node_intervals;
   }
 
   /// Drains `h` consecutive intervals starting at t0 end-to-end: per
   /// interval, derive the busy split from the work order, advance the
   /// node, then probe its counters exactly as the daemon's serial per-node
   /// loop did.  `miss[k]` marks horizon offset k as a whole-interval cron
-  /// miss (no probe draw, baseline kept).  Offset k's probe is added into
-  /// `tally[k]`, the calling shard's row, and the interval's busy seconds
-  /// are written to `busy[k * busy_stride]`, this lane's slot.  Touches
-  /// only lane-local state and those two outputs; the horizon phase
-  /// guarantees the work order holds for every interval.
+  /// miss (no probe draw, baseline kept).  Offset k's node-interval count
+  /// and probe are added into `tally[k]`, the calling shard's row, and the
+  /// interval's busy seconds are written to `busy[k * busy_stride]`, this
+  /// lane's slot.  Touches only lane-local state and those two outputs;
+  /// the horizon phase guarantees the work order holds for every interval.
   P2SIM_PAR_SAFE void run_pipeline(std::int64_t t0, std::int64_t h,
                                    double interval_s,
                                    const std::uint8_t* miss,
@@ -145,8 +155,8 @@ class NodeLane {
       if (step.sig != nullptr) {
         step.busy_s = std::min(step.end_s, now + interval_s) - now;
       }
-      advance_interval(interval_s);
       const auto ku = static_cast<std::size_t>(k);
+      advance_interval(interval_s, tally[ku]);
       busy[ku * busy_stride] = interval_busy_s;
       probe(t0 + k, miss[k] != 0, tally[ku]);
     }
@@ -198,8 +208,6 @@ class NodeLane {
   /// it (stateless, keyed draws) but never log through the injector —
   /// fault accounting is a serial-phase concern.  Null when faults are off.
   const fault::FaultSchedule* fault_view = nullptr;
-  /// This lane's telemetry tallies, tree-merged serially each horizon.
-  telemetry::MetricShard shard;
 
   /// Input for the current horizon (serial phases write, lane reads).
   LaneStep step;

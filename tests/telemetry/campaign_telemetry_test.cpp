@@ -1,14 +1,18 @@
 // Campaign-level telemetry contracts: the overhead guard (telemetry off
 // means zero metric allocations), determinism of the simulated-time
-// exports, and fault-counter reconciliation against the FaultLog.
+// exports, fault-counter reconciliation against the FaultLog, and the lane
+// counters' node-interval accounting.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 
 #include "src/core/simulation.hpp"
 #include "src/telemetry/metrics.hpp"
 #include "src/telemetry/service.hpp"
 #include "src/telemetry/session.hpp"
+#include "src/util/sim_time.hpp"
 #include "src/workload/driver.hpp"
 
 namespace p2sim {
@@ -150,6 +154,43 @@ TEST(CampaignTelemetry, FaultCountersReconcileWithFaultLog) {
   EXPECT_EQ(counter_value("p2sim_daemon_unreachable_total"),
             static_cast<std::uint64_t>(log.node_samples_unreachable +
                                        log.node_samples_lost));
+}
+
+TEST(CampaignTelemetry, LaneCountersPartitionEveryNodeInterval) {
+  // Every node spends every interval busy, idle or down, so the three
+  // p2sim_lane_* counters add up to nodes x intervals — cron-missed
+  // intervals included: the lanes count where the node advances, not
+  // where the daemon probes it.  The counts are integer sums over the
+  // workers' tallies, so they agree for every thread count.
+  const char* const kNames[3] = {"p2sim_lane_busy_node_intervals_total",
+                                 "p2sim_lane_idle_node_intervals_total",
+                                 "p2sim_lane_down_node_intervals_total"};
+  std::int64_t missed = 0;
+  auto lane_counts = [&](const workload::DriverConfig& cfg) {
+    telemetry::Session session;
+    {
+      telemetry::ScopedSession scoped(session);
+      missed = workload::run_campaign(cfg).faults.intervals_missed;
+    }
+    std::array<std::uint64_t, 3> v{};
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      EXPECT_TRUE(session.registry.contains(kNames[i])) << kNames[i];
+      v[i] = session.registry.counter(kNames[i], "").value();
+    }
+    return v;
+  };
+  workload::DriverConfig cfg = small_faulted(/*days=*/8);
+  const std::array<std::uint64_t, 3> serial = lane_counts(cfg);
+  ASSERT_GT(missed, 0);
+  EXPECT_EQ(serial[0] + serial[1] + serial[2],
+            static_cast<std::uint64_t>(cfg.num_nodes * cfg.days *
+                                       util::kIntervalsPerDay));
+  EXPECT_GT(serial[2], 0u) << "no node was ever down";
+  cfg.threads = 3;
+  EXPECT_EQ(lane_counts(cfg), serial);
+  // A fault-free campaign registers the down counter too, at 0, so the
+  // export's sample set does not depend on the fault mix.
+  EXPECT_EQ(lane_counts(core::Sp2Config::small(2, 8).driver)[2], 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Lock-free metrics plane contracts: exact concurrent counting, seqlock
 // coherence of histogram reads under write fire, lock-free registry
-// snapshots racing registration, Prometheus exposition conformance of the
-// renderer, and the fold-epoch consistency of session-level snapshots.
+// snapshots racing registration, and Prometheus exposition conformance of
+// the renderer.
 #include "src/telemetry/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -10,9 +10,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "src/telemetry/session.hpp"
-#include "src/telemetry/shard.hpp"
 
 namespace p2sim::telemetry {
 namespace {
@@ -160,62 +157,6 @@ TEST(MetricsPlane, SnapshotAllocatesNoMetricObjects) {
     (void)reg.jsonl();
   }
   EXPECT_EQ(metrics_created(), before);
-}
-
-TEST(MetricsPlane, ConsistentSnapshotWaitsOutTheFoldEpoch) {
-  Session session;
-  // The fold target must carry the same exposition name as the shard
-  // residue — exactly what the driver does — so a scrape sees 7 whether it
-  // lands before or after the fold.
-  Counter& folded = session.registry.counter(
-      "p2sim_lane_busy_node_intervals_total", "fold target");
-  MetricShard shard;
-  shard.add_busy(7);
-  ScopedLiveShards live(&session, {&shard});
-
-  // A snapshot taken while no fold is in flight merges the live residue.
-  MetricsSnapshot snap = consistent_snapshot(session);
-  bool found = false;
-  for (const MetricSample& s : snap) {
-    if (s.name == "p2sim_lane_busy_node_intervals_total") {
-      found = true;
-      EXPECT_EQ(s.counter_value, 7u);
-    }
-  }
-  EXPECT_TRUE(found);
-
-  // While a fold guard is held (epoch odd), snapshots spin; they complete
-  // once the fold ends and see the folded value instead of the residue.
-  std::atomic<bool> snapped{false};
-  std::thread scraper([&session, &snapped] {
-    const MetricsSnapshot s = consistent_snapshot(session);
-    snapped.store(true, std::memory_order_release);
-    std::uint64_t lane_total = 0;
-    for (const MetricSample& m : s) {
-      if (m.name == "p2sim_lane_busy_node_intervals_total") {
-        lane_total = m.counter_value;
-      }
-    }
-    // Either the pre-fold residue or the post-fold counter value — both
-    // read 7 under the one name; never a half-fold like 0 or 14.
-    EXPECT_EQ(lane_total, 7u);
-  });
-  {
-    Session::FoldGuard guard(&session);
-    // Simulate the serial fold: move the shard into the registry counter
-    // and reset, exactly as the driver does between intervals.
-    folded.inc(shard.busy());
-    shard.reset();
-  }
-  scraper.join();
-  EXPECT_TRUE(snapped.load(std::memory_order_acquire));
-  EXPECT_EQ(session.fold_epoch() % 2, 0u);
-}
-
-TEST(MetricsPlane, FoldGuardAndLiveShardsTolerateNullSession) {
-  Session::FoldGuard guard(nullptr);
-  ScopedLiveShards live(nullptr, {});
-  SUCCEED();
 }
 
 }  // namespace

@@ -1,12 +1,19 @@
 // MonitorService endpoint contracts: routing and content types, the
 // /healthz edge cases (no campaign yet, zero completed jobs, zero-coverage
-// days), the /api/jobs ring semantics, the quit handshake, and the
-// reconciliation of a scrape that lands between phase boundaries.
+// days), the /api/jobs ring semantics and `limit` parsing, the quit
+// handshake, the reconciliation of a scrape that lands between phase
+// boundaries, and lane counters that never go backwards under scrape.
 #include "src/telemetry/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/analysis/loss.hpp"
 #include "src/core/simulation.hpp"
@@ -126,6 +133,38 @@ TEST(MonitorService, JobsRingKeepsNewestChronologically) {
   EXPECT_NE(two.find("\"job_id\":8"), std::string::npos);
 }
 
+TEST(MonitorService, JobsLimitIsAWholePositiveIntegerKey) {
+  Session session;
+  MonitorConfig cfg;
+  cfg.max_job_samples = 4;
+  MonitorService svc(session, cfg);
+  for (int i = 0; i < 10; ++i) svc.on_job(JobSample{});
+  // {query, status, jobs returned}: only a key spelled exactly `limit`
+  // counts, a limit above the ring caps to it, and a value that is not a
+  // whole positive integer fitting a size_t is a 400.
+  const struct {
+    const char* query;
+    int status;
+    int returned;
+  } kCases[] = {{"limit=2", 200, 2},   {"a=1&limit=3&b", 200, 3},
+                {"nolimit=1", 200, 4}, {"limits=1", 200, 4},
+                {"", 200, 4},          {"limit=100", 200, 4},
+                {"limit=3x", 400, 0},  {"limit=0", 400, 0},
+                {"limit=-1", 400, 0},  {"limit=", 400, 0},
+                {"limit", 400, 0},     {"limit=+2", 400, 0},
+                {"limit=99999999999999999999999", 400, 0}};
+  for (const auto& c : kCases) {
+    const util::HttpResponse r =
+        svc.handle(get_req(MonitorService::kJobsPath, c.query));
+    EXPECT_EQ(r.status, c.status) << c.query;
+    if (c.status == 200) {
+      EXPECT_NE(r.body.find("\"returned\":" + std::to_string(c.returned)),
+                std::string::npos)
+          << c.query;
+    }
+  }
+}
+
 TEST(MonitorService, QuitEndpointSetsTheFlagOnce) {
   Session session;
   MonitorService svc(session);
@@ -195,6 +234,61 @@ TEST(MonitorService, ScrapeBetweenPhaseBoundariesStaysReconciled) {
     EXPECT_NE(body.find(want), std::string::npos) << body;
     // The lock-free metrics scrape works at the same boundary.
     EXPECT_NE(svc.metrics_text().find("p2sim_server_"), std::string::npos);
+  }
+}
+
+TEST(MonitorService, LaneCountersNeverGoBackwardsUnderScrape) {
+  // A scrape sees the lane counters as of the last fold: while a 4-worker
+  // faulted campaign runs, every value a looping scraper reads is at most
+  // the final one and never below its previous read, and the final scrape
+  // agrees with the session's export.
+  // The three values in a body whose sample lines read pre NAME post N.
+  auto lane_values = [](const std::string& text, const char* pre,
+                        const char* post) {
+    std::array<std::uint64_t, 3> v{};
+    const char* const kNames[3] = {"p2sim_lane_busy_node_intervals_total",
+                                   "p2sim_lane_idle_node_intervals_total",
+                                   "p2sim_lane_down_node_intervals_total"};
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const std::string key = pre + std::string(kNames[i]) + post;
+      const std::size_t pos = text.find(key);
+      if (pos != std::string::npos) {
+        v[i] = std::strtoull(text.c_str() + pos + key.size(), nullptr, 10);
+      }
+    }
+    return v;
+  };
+  core::Sp2Config cfg = core::Sp2Config::small(/*days=*/6, /*nodes=*/16);
+  cfg.faults() = fault::FaultConfig::reference();
+  cfg.driver.threads = 4;
+  Session session;
+  MonitorService svc(session);
+  std::atomic<bool> done{false};
+  std::vector<std::array<std::uint64_t, 3>> seen;
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      seen.push_back(lane_values(svc.metrics_text(), "\n", " "));
+    }
+  });
+  {
+    ScopedSession scoped(session);
+    (void)workload::run_campaign(cfg.driver);
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+
+  const std::array<std::uint64_t, 3> last =
+      lane_values(svc.metrics_text(), "\n", " ");
+  EXPECT_EQ(last, lane_values(session.registry.jsonl(), "\"metric\":\"",
+                              R"(","type":"counter","value":)"));
+  EXPECT_GT(last[0], 0u);
+  std::array<std::uint64_t, 3> prev{};
+  for (const std::array<std::uint64_t, 3>& v : seen) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      EXPECT_GE(v[i], prev[i]) << i;
+      EXPECT_LE(v[i], last[i]) << i;
+    }
+    prev = v;
   }
 }
 

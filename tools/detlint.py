@@ -1036,8 +1036,8 @@ def self_test() -> int:
     scenario(
         "manifest: dropped P2SIM_GUARDED_BY fails",
         lambda tmp: edit(
-            tmp, "src/telemetry/session.hpp",
-            " P2SIM_GUARDED_BY(live_mu_)", "", count=1),
+            tmp, "src/telemetry/service.hpp",
+            " P2SIM_GUARDED_BY(svc_mu_)", "", count=1),
         "carries no P2SIM_GUARDED_BY")
 
     # family 4: RNG stream discipline ----------------------------------

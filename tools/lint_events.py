@@ -77,10 +77,9 @@ INIT_CHECKED_HEADERS = (
     # health sample or snapshot would poison the dashboard reconciliation.
     "src/telemetry/health.hpp",
     "src/telemetry/reporter.hpp",
-    # The parallel engine: an indeterminate shard counter, lane output or
+    # The parallel engine: an indeterminate lane tally, lane output or
     # pool bookkeeping field would surface as thread-count-dependent
     # results, which the bit-identity contract forbids.
-    "src/telemetry/shard.hpp",
     "src/util/task_pool.hpp",
     "src/workload/lane.hpp",
     # Crash consistency: an indeterminate offset in the checkpoint reader
@@ -109,9 +108,10 @@ INIT_CHECKED_HEADERS = (
 # (the registry also enforces this at runtime; the lint catches it before a
 # campaign does) and the literal-site scanner.  Only the registry
 # implementation itself is excluded -- it holds the name-shape prefix
-# constant, not registration sites.  The lane-shard counters (shard.hpp)
-# and the p2sim_server_* monitoring metrics (service.cpp) ARE scanned:
-# each must have exactly one registration site like any other metric.
+# constant, not registration sites.  The p2sim_lane_* counters (the
+# driver's fold) and the p2sim_server_* monitoring metrics (service.cpp)
+# ARE scanned: each must have exactly one registration site like any
+# other metric.
 METRIC_NAME_RE = re.compile(r"^p2sim_[a-z0-9_]+$")
 _METRIC_LITERAL_RE = re.compile(r'"(p2sim_[^"]*)"')
 METRIC_SCAN_EXCLUDE = ("src/telemetry/metrics.",)
