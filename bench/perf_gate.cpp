@@ -1,12 +1,14 @@
 // perf_gate: the simulator's performance and determinism gate.
 //
-// One run measures four layers and writes every result as one row of
+// One run measures five layers and writes every result as one row of
 // BENCH_perf_gate.json, a flat JSON list of
 //   {name, value, unit, op, bound, status}
 // where status is `pass` or `fail` for a gated row, `withheld` for a
 // scaling claim the host is too narrow to make, and `report` for a figure
 // that is printed but not gated.  Every bound lives in kBounds below.
 //
+//   power2.*   the cycle-level core: a serial measure_quiet over a fixed
+//              200-kernel job sample (reported, not gated: host-dependent);
 //   engine.*   Node::advance on the paper's 15-minute busy intervals, the
 //              closed-form path against the slice-by-slice reference;
 //   campaign.* the 144-node campaign once on the reference path and once on
@@ -56,7 +58,9 @@
 #include "src/util/http_client.hpp"
 #include "src/util/http_server.hpp"
 #include "src/util/numfmt.hpp"
+#include "src/util/stats.hpp"
 #include "src/workload/driver.hpp"
+#include "src/workload/jobgen.hpp"
 
 namespace {
 
@@ -210,6 +214,31 @@ std::pair<double, double> best_alternating(A&& a, B&& b, double min_seconds) {
 
 /// Keeps a result observable so the timed work cannot be optimized away.
 volatile double g_sink = 0.0;
+
+// ---- power2.* --------------------------------------------------------
+
+/// The work a cold signature store pays for, one kernel at a time: the
+/// median wall time of one fresh-core measurement and the simulated cycles
+/// the core retires per wall second.
+void power2_rows(Report& rep) {
+  workload::ProfileRegistry registry;
+  const workload::JobGenerator gen(workload::JobGenConfig{}, registry);
+  std::vector<double> submit_s;
+  for (int i = 0; i < 200; ++i) submit_s.push_back(60.0 * i);
+  const std::vector<power2::KernelDesc> sample = gen.peek_kernels(submit_s);
+  std::vector<double> ms;
+  double cycles = 0.0;
+  const auto begin = std::chrono::steady_clock::now();
+  for (const power2::KernelDesc& k : sample) {
+    const auto t0 = std::chrono::steady_clock::now();
+    cycles += static_cast<double>(
+        power2::measure_quiet(power2::CoreConfig{}, k).run.counts.cycles);
+    ms.push_back(seconds_since(t0) * 1e3);
+  }
+  const double wall_s = seconds_since(begin);
+  rep.report("power2.kernel_ms_p50", "ms", util::quantile(ms, 0.5));
+  rep.report("power2.sim_mcycles_per_s", "Mcycles/s", cycles / 1e6 / wall_s);
+}
 
 // ---- engine.* --------------------------------------------------------
 
@@ -627,6 +656,7 @@ int main(int argc, char** argv) {
   try {
     rep.report("host.hardware_concurrency", "threads", hw);
     rep.report("campaign.days", "days", static_cast<double>(*days));
+    power2_rows(rep);
     engine_rows(rep);
     Corpus clean;
     campaign_rows(rep, *days, hw, &clean);

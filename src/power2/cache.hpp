@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/check/annotate.hpp"
-#include "src/check/check.hpp"
 
 namespace p2sim::power2 {
 
@@ -42,25 +41,59 @@ class Cache {
   /// Accesses one address (the address, not a range: callers issue one
   /// access per instruction, matching HPM count semantics for quad ops).
   /// Touches only this cache instance, so a worker-private core may call
-  /// it inside the parallel measurement region.  Defined below, in the
-  /// header: the core's inner loop calls it once per memory instruction.
+  /// it inside the parallel measurement region.
   P2SIM_PAR_SAFE CacheAccess access(std::uint64_t addr, bool is_store);
+
+  // ---- Resident-line protocol (the core's inner loop) --------------------
+  // The caller holds the access tick in a register: it starts from tick(),
+  // adds one per access, and hands the final value back to settle(), which
+  // keeps accesses() and hits() exact.  It also remembers, per stream, the
+  // block its last access landed in and the slot holding that block.  An
+  // access to that block is a hit on that slot (a tag is unique within its
+  // set), so touch() does all the work a hit would: stamp the LRU tick and
+  // set the dirty bit.  Every other access goes through lookup(), and when
+  // a fill replaces a valid line the caller must forget every hint naming
+  // that slot.  LRU stamps are only compared in lookup()'s victim scan, so
+  // the results are exactly those of access().
+
+  /// Where lookup() left a block.
+  struct Placement {
+    CacheAccess access;
+    std::uint32_t slot = 0;  ///< the line now holding the block
+    bool resident = false;   ///< false only for a no-allocate store miss
+    bool replaced = false;   ///< the fill evicted the valid line in `slot`
+  };
+
+  P2SIM_PAR_SAFE std::uint64_t tick() const { return tick_; }
+  P2SIM_PAR_SAFE void touch(std::uint32_t slot, std::uint64_t tick,
+                            bool is_store) {
+    Line& l = lines_[slot];
+    l.lru = tick;
+    l.dirty = l.dirty || is_store;
+  }
+  /// A full lookup of `block` (address >> log2(line_bytes)) at `tick`.
+  P2SIM_PAR_SAFE Placement lookup(std::uint64_t block, bool is_store,
+                                  std::uint64_t tick);
+  P2SIM_PAR_SAFE void settle(std::uint64_t tick) {
+    accesses_ += tick - tick_;
+    tick_ = tick;
+  }
 
   /// Drops all lines (used between unrelated kernel runs).
   void flush();
 
   P2SIM_PAR_SAFE const CacheConfig& config() const { return cfg_; }
-  std::uint64_t hits() const { return hits_; }
+  std::uint64_t hits() const { return accesses_ - misses_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t dirty_evictions() const { return dirty_evictions_; }
-  /// Lifetime access count; the audited identity accesses == hits + misses
-  /// survives flush() (statistics, unlike lines, are never dropped).
+  /// Lifetime access count; accesses == hits + misses survives flush()
+  /// (statistics, unlike lines, are never dropped).
   std::uint64_t accesses() const { return accesses_; }
 
  private:
   struct Line {
     std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< global access counter value at last touch
+    std::uint64_t lru = 0;  ///< access tick at last touch
     bool valid = false;
     bool dirty = false;
   };
@@ -72,62 +105,14 @@ class Cache {
   std::vector<Line> lines_;  // sets * ways, way-major within a set
   std::uint64_t tick_ = 0;
   std::uint64_t accesses_ = 0;
-  std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t dirty_evictions_ = 0;
 };
 
 inline CacheAccess Cache::access(std::uint64_t addr, bool is_store) {
-  const std::uint64_t block = addr >> line_shift_;
-  const std::uint64_t set = block & set_mask_;
-  const std::uint64_t tag = block >> set_shift_;
-  Line* base = &lines_[set * cfg_.ways];
-  ++tick_;
-  ++accesses_;
-
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      l.lru = tick_;
-      l.dirty = l.dirty || is_store;
-      ++hits_;
-      P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                      "every cache access is a hit or a miss");
-      return {.hit = true, .reload = false, .dirty_evict = false};
-    }
-  }
-
-  ++misses_;
-  CacheAccess out{.hit = false, .reload = false, .dirty_evict = false};
-  if (is_store && !cfg_.write_allocate) {
-    // Write-through-no-allocate stores go straight to memory.
-    return out;
-  }
-
-  // Choose the victim: invalid way first, else true LRU.
-  Line* victim = base;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& l = base[w];
-    if (!l.valid) {
-      victim = &l;
-      break;
-    }
-    if (l.lru < victim->lru) victim = &l;
-  }
-  if (victim->valid && victim->dirty) {
-    out.dirty_evict = true;
-    ++dirty_evictions_;
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  victim->dirty = is_store;
-  out.reload = true;
-  P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                  "every cache access is a hit or a miss");
-  P2SIM_INVARIANT(!out.dirty_evict || out.reload,
-                  "a dirty eviction can only accompany a reload");
-  return out;
+  const Placement p = lookup(addr >> line_shift_, is_store, tick_ + 1);
+  settle(tick_ + 1);
+  return p.access;
 }
 
 }  // namespace p2sim::power2

@@ -1,6 +1,7 @@
 #include "src/power2/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <stdexcept>
 
@@ -48,259 +49,340 @@ void Power2Core::reset() {
   fpu_rr_toggle_ = fxu_rr_toggle_ = false;
   pipe_cycle_ = 0;
   pipe_issued_ = 0;
-  bound_kernel_ = nullptr;
 }
 
 void Power2Core::bind(const KernelDesc& kernel) {
   if (auto err = kernel.validate(); !err.empty()) {
     throw std::invalid_argument("kernel '" + kernel.name + "': " + err);
   }
-  ready_cur_.assign(kernel.body.size(), 0);
-  ready_prev_.assign(kernel.body.size(), 0);
-  stream_cursor_.assign(kernel.streams.size(), 0);
-  stream_base_.clear();
-  stream_base_.reserve(kernel.streams.size());
+  const std::size_t n = kernel.body.size();
+  const auto slot = [n](std::int16_t dep) {
+    return dep == kNoDep ? static_cast<std::uint32_t>(n)
+                         : static_cast<std::uint32_t>(dep);
+  };
+  body_.clear();
+  for (const Instr& in : kernel.body) {
+    Decoded d;
+    d.op = in.op;
+    d.dep = slot(in.dep);
+    d.carried = slot(in.carried_dep);
+    if (is_floating_point(in.op)) {
+      d.unit = Unit::kFpu;
+      d.busy = static_cast<std::uint8_t>(fp_busy(in.op));
+      d.latency = static_cast<std::uint8_t>(fp_latency(in.op));
+    } else if (is_fixed_point(in.op)) {
+      d.unit = is_memory(in.op) ? Unit::kMem : Unit::kFxu;
+      d.fxu1_only =
+          in.op == OpClass::kFxAddrMul || in.op == OpClass::kFxAddrDiv;
+      // Address multiply/divide are multicycle on FXU1.
+      d.busy = in.op == OpClass::kFxAddrMul   ? 3
+               : in.op == OpClass::kFxAddrDiv ? 13
+                                              : 1;
+      d.latency = d.busy;
+      d.stream = in.stream;
+      d.store = in.op == OpClass::kFxStore;
+      d.quad = in.quad;
+    }
+    body_.push_back(d);
+  }
+  ready_cur_.assign(n + 1, 0);
+  ready_prev_.assign(n + 1, 0);
+  unit1_.assign(n, 0);
+
   // Streams occupy disjoint page-aligned regions with a guard gap, so that
   // distinct arrays never alias in the cache by construction (conflict
   // misses still arise from set contention, as in reality).
+  streams_.clear();
   std::uint64_t next = 1ULL << 20;
   for (const MemStream& s : kernel.streams) {
-    stream_base_.push_back(next);
+    Stream& st = streams_.emplace_back();
+    st.base = next;
+    st.footprint = static_cast<std::int64_t>(s.footprint_bytes);
+    st.stride = s.stride_bytes;
     const std::uint64_t page = tlb_.config().page_bytes;
     const std::uint64_t span = (s.footprint_bytes + page - 1) / page * page;
     next += span + 16 * page;
   }
-  bound_kernel_ = &kernel;
+
+  // Occasional I-cache refill beyond the steady-state loop (subroutine-rich
+  // codes), drawn once per iteration from the kernel's pressure parameter.
+  icache_pressure_ = kernel.icache_miss_per_kinst > 0.0;
+  icache_refill_p_ = std::min(
+      kernel.icache_miss_per_kinst * static_cast<double>(n) / 1000.0, 1.0);
 }
 
-std::uint64_t Power2Core::run_iteration(const KernelDesc& kernel,
-                                        std::uint64_t now, bool counting,
-                                        EventCounts& ev) {
-  // `issue_cycle` / `issued` implement the 4-wide ICU dispatch limit; they
-  // persist across iterations (the loop branch does not reset the
-  // dispatcher), so the width bound holds at iteration boundaries too.
-  std::uint64_t& issue_cycle = pipe_cycle_;
-  std::uint32_t& issued = pipe_issued_;
+std::uint64_t Power2Core::resume_cycle() const {
+  return std::max({fxu_free_[0], fxu_free_[1], fpu_free_[0], fpu_free_[1],
+                   icu_free_, pipe_cycle_});
+}
+
+template <bool kCounting, bool kTracing>
+std::uint64_t Power2Core::run_loop(std::uint64_t now, std::uint64_t iterations,
+                                   EventCounts& ev, IssueTrace* sink) {
+  const Decoded* const body = body_.data();
+  const std::size_t n = body_.size();
+  Stream* const streams = streams_.data();
+  std::uint64_t* cur = ready_cur_.data();
+  std::uint64_t* prev = ready_prev_.data();
+  std::uint64_t* const unit1 = unit1_.data();
+  const std::uint64_t width = cfg_.dispatch_width;
+  const std::uint64_t miss_halt = cfg_.dcache_miss_halt;
+  const FpuSteering fpu_steering = cfg_.fpu_steering;
+  const bool fxu1_preferred = cfg_.fxu_steering == FxuSteering::kFxu1Preferred;
+  const int line_shift =
+      std::countr_zero(std::uint64_t{dcache_.config().line_bytes});
+  const int page_shift =
+      std::countr_zero(std::uint64_t{tlb_.config().page_bytes});
+
+  // The pipeline state lives in locals for the whole loop.  `issue_cycle`
+  // and `issued` implement the ICU dispatch limit; they persist across
+  // iterations (the loop branch does not reset the dispatcher), so the
+  // width bound holds at iteration boundaries too.
+  std::uint64_t issue_cycle = pipe_cycle_;
+  std::uint64_t issued = pipe_issued_;
   if (now > issue_cycle) {
     issue_cycle = now;
     issued = 0;
   }
+  std::uint64_t fxu0 = fxu_free_[0], fxu1 = fxu_free_[1];
+  std::uint64_t fpu0 = fpu_free_[0], fpu1 = fpu_free_[1];
+  std::uint64_t icu = icu_free_;
+  bool fpu_rr = fpu_rr_toggle_, fxu_rr = fxu_rr_toggle_;
+  // The D-cache and the TLB see exactly one access each per memory op, so
+  // one tick serves both.
+  P2SIM_INVARIANT(dcache_.tick() == tlb_.tick(),
+                  "the D-cache and TLB tick in lockstep");
+  std::uint64_t tick = dcache_.tick();
 
-  const std::size_t n = kernel.body.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Instr& in = kernel.body[i];
-    if (counting) ev.dispatched_inst += 1;
+  for (std::uint64_t it = 0; it < iterations; ++it) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Decoded& in = body[i];
+      // Earliest issue: program order + dispatch slots + data dependencies.
+      const std::uint64_t earliest =
+          std::max({issued >= width ? issue_cycle + 1 : issue_cycle,
+                    cur[in.dep], prev[in.carried]});
+      std::uint64_t issue_at;
+      std::uint64_t halt = 0;
+      unsigned u = 0;
+      bool dmiss = false;
+      bool tmiss = false;
 
-    // Earliest issue: program order + dispatch slots + data dependencies.
-    const std::uint64_t slot_earliest =
-        issued >= cfg_.dispatch_width ? issue_cycle + 1 : issue_cycle;
-    std::uint64_t earliest = slot_earliest;
-    if (in.dep != kNoDep) {
-      earliest = std::max(earliest, ready_cur_[static_cast<std::size_t>(in.dep)]);
-    }
-    if (in.carried_dep != kNoDep) {
-      earliest = std::max(
-          earliest, ready_prev_[static_cast<std::size_t>(in.carried_dep)]);
-    }
-    std::uint64_t issue_at = earliest;
-    std::uint64_t ready = earliest + 1;
-    int unit_used = 0;
-    bool ev_dmiss = false;
-    bool ev_tmiss = false;
-
-    if (is_floating_point(in.op)) {
-      int u;
-      switch (cfg_.fpu_steering) {
-        case FpuSteering::kFpu0First: {
-          // Section 5 semantics: FPU0 is the default target; the stream
-          // spills to FPU1 only while FPU0 is occupied (a multicycle op in
-          // flight, or a same-cycle instruction already issued there).
-          // Dependence-bound code therefore concentrates on FPU0 — by the
-          // time a chained consumer can issue, FPU0 is idle again — while
-          // independent bursts dual-issue and split evenly.  This is the
-          // mechanism behind the paper's measured FPU0/FPU1 ratio of 1.7
-          // and its note that high-ILP workloads sit closer to 1.
-          if (fpu_free_[0] <= earliest) {
-            u = 0;
-          } else if (fpu_free_[1] <= earliest) {
-            u = 1;
-          } else {
-            u = fpu_free_[0] <= fpu_free_[1] ? 0 : 1;
-          }
-          break;
-        }
-        case FpuSteering::kRoundRobin:
-          u = fpu_rr_toggle_ ? 1 : 0;
-          fpu_rr_toggle_ = !fpu_rr_toggle_;
-          break;
-        case FpuSteering::kEarliestFree:
-        default:
-          u = fpu_free_[0] <= fpu_free_[1] ? 0 : 1;
-          break;
-      }
-      issue_at = std::max(earliest, fpu_free_[u]);
-      fpu_free_[u] = issue_at + static_cast<std::uint64_t>(fp_busy(in.op));
-      ready = issue_at + static_cast<std::uint64_t>(fp_latency(in.op));
-      unit_used = u;
-      if (counting) {
-        (u == 0 ? ev.fpu0_inst : ev.fpu1_inst) += 1;
-        switch (in.op) {
-          case OpClass::kFpAdd:
-            (u == 0 ? ev.fp_add0 : ev.fp_add1) += 1;
-            break;
-          case OpClass::kFpMul:
-            (u == 0 ? ev.fp_mul0 : ev.fp_mul1) += 1;
-            break;
-          case OpClass::kFpDiv:
-            (u == 0 ? ev.fp_div0 : ev.fp_div1) += 1;
-            break;
-          case OpClass::kFpFma:
-            // The fma multiply lands in the fma counter and its add in the
-            // add counter (paper, section 5).
-            (u == 0 ? ev.fp_fma0 : ev.fp_fma1) += 1;
-            (u == 0 ? ev.fp_add0 : ev.fp_add1) += 1;
-            break;
-          case OpClass::kFpSqrt:
-            break;  // no dedicated HPM operation counter
-          default:
-            break;
-        }
-      }
-    } else if (is_fixed_point(in.op)) {
-      int u;
-      const bool fxu1_only =
-          in.op == OpClass::kFxAddrMul || in.op == OpClass::kFxAddrDiv;
-      if (fxu1_only) {
-        u = 1;  // "FXU1 has the sole responsibility for divide and multiply"
-      } else {
-        switch (cfg_.fxu_steering) {
-          case FxuSteering::kFxu1Preferred:
-            if (fxu_free_[1] <= earliest) {
-              u = 1;
-            } else if (fxu_free_[0] <= earliest) {
+      if (in.unit == Unit::kFpu) {
+        switch (fpu_steering) {
+          case FpuSteering::kFpu0First:
+            // Section 5 semantics: FPU0 is the default target; the stream
+            // spills to FPU1 only while FPU0 is occupied (a multicycle op
+            // in flight, or a same-cycle instruction already issued
+            // there), and to whichever frees first when both are.
+            // Dependence-bound code therefore concentrates on FPU0 while
+            // independent bursts dual-issue and split evenly: the paper's
+            // measured FPU0/FPU1 ratio of 1.7, and its note that high-ILP
+            // workloads sit closer to 1.
+            if (fpu0 <= earliest) {
               u = 0;
+            } else if (fpu1 <= earliest) {
+              u = 1;
             } else {
-              u = fxu_free_[1] <= fxu_free_[0] ? 1 : 0;
+              u = fpu0 > fpu1 ? 1 : 0;
             }
             break;
-          case FxuSteering::kRoundRobin:
+          case FpuSteering::kRoundRobin:
+            u = fpu_rr ? 1 : 0;
+            fpu_rr = !fpu_rr;
+            break;
+          case FpuSteering::kEarliestFree:
           default:
-            u = fxu_rr_toggle_ ? 1 : 0;
-            fxu_rr_toggle_ = !fxu_rr_toggle_;
+            u = fpu0 > fpu1 ? 1 : 0;
             break;
         }
-      }
-      issue_at = std::max(earliest, fxu_free_[u]);
-      unit_used = u;
-      std::uint64_t busy = 1;
-      // Address multiply/divide are multicycle on FXU1.
-      if (in.op == OpClass::kFxAddrMul) busy = 3;
-      if (in.op == OpClass::kFxAddrDiv) busy = 13;
-      ready = issue_at + busy;
-
-      std::uint64_t halt = 0;
-      if (is_memory(in.op)) {
-        MemStream const& s = kernel.streams[in.stream];
-        std::uint64_t& cur = stream_cursor_[in.stream];
-        const std::uint64_t addr = stream_base_[in.stream] + cur;
-        // Advance the cursor, wrapping within the footprint (negative
-        // strides walk backwards).  The cursor stays in [0, fp), so a
-        // step that lands inside the footprint needs no division; only a
-        // wrap takes the signed remainder, which yields the same offset.
-        const std::int64_t fp = static_cast<std::int64_t>(s.footprint_bytes);
-        std::int64_t nxt = static_cast<std::int64_t>(cur) + s.stride_bytes;
-        if (nxt < 0 || nxt >= fp) {
-          nxt %= fp;
-          if (nxt < 0) nxt += fp;
+        issue_at = std::max(earliest, u ? fpu1 : fpu0);
+        const std::uint64_t freed = issue_at + in.busy;
+        fpu0 = u ? fpu0 : freed;
+        fpu1 = u ? freed : fpu1;
+      } else if (in.unit == Unit::kIcu) {
+        // Branches and condition-register ops, one per cycle.
+        issue_at = std::max(earliest, icu);
+        icu = issue_at + 1;
+      } else {
+        // "FXU1 has the sole responsibility for divide and multiply";
+        // otherwise FXU1 first, FXU0 when FXU1 is busy, else the first free.
+        if (fxu1_preferred) {
+          if (fxu1 <= earliest) {
+            u = 1;
+          } else if (fxu0 <= earliest) {
+            u = 0;
+          } else {
+            u = fxu1 <= fxu0 ? 1 : 0;
+          }
+        } else {
+          u = fxu_rr ? 1 : 0;
+          fxu_rr = fxu_rr != !in.fxu1_only;  // address ops skip their turn
         }
-        cur = static_cast<std::uint64_t>(nxt);
+        if (in.fxu1_only) u = 1;
+        issue_at = std::max(earliest, u ? fxu1 : fxu0);
+        const std::uint64_t freed = issue_at + in.busy;
+        fxu0 = u ? fxu0 : freed;
+        fxu1 = u ? freed : fxu1;
 
-        const bool is_store = in.op == OpClass::kFxStore;
-        if (!tlb_.access(addr)) {
-          const std::uint64_t pen =
-              cfg_.tlb_miss_min +
-              rng_.below(cfg_.tlb_miss_max - cfg_.tlb_miss_min + 1);
-          halt += pen;
-          ev_tmiss = true;
-          if (counting) {
-            ev.tlb_miss += 1;
-            ev.stall_tlb += pen;
+        if (in.unit == Unit::kMem) {
+          Stream& s = streams[in.stream];
+          const std::uint64_t addr = s.base + s.cursor;
+          // Advance the cursor, wrapping within the footprint (negative
+          // strides walk backwards).  The cursor stays in [0, fp), so a
+          // step that lands inside the footprint needs no division; only
+          // a wrap takes the signed remainder, which yields the same
+          // offset.
+          std::int64_t nxt = static_cast<std::int64_t>(s.cursor) + s.stride;
+          if (nxt < 0 || nxt >= s.footprint) [[unlikely]] {
+            nxt %= s.footprint;
+            if (nxt < 0) nxt += s.footprint;
+          }
+          s.cursor = static_cast<std::uint64_t>(nxt);
+          ++tick;
+
+          const std::uint64_t page = addr >> page_shift;
+          if (page == s.page) [[likely]] {
+            tlb_.touch(s.entry, tick);
+          } else {
+            const Tlb::Placement p = tlb_.lookup(page, tick);
+            if (!p.hit) {
+              halt = cfg_.tlb_miss_min +
+                     rng_.below(cfg_.tlb_miss_max - cfg_.tlb_miss_min + 1);
+              tmiss = true;
+              if (kCounting) {
+                ev.tlb_miss += 1;
+                ev.stall_tlb += halt;
+              }
+              // Forget every hint naming the entry this fill replaced.
+              if (p.replaced) {
+                for (Stream& o : streams_) {
+                  if (o.entry == p.slot) o.page = kNoHint;
+                }
+              }
+            }
+            s.page = page;
+            s.entry = p.slot;
+          }
+
+          const std::uint64_t block = addr >> line_shift;
+          if (block == s.block) [[likely]] {
+            dcache_.touch(s.line, tick, in.store);
+          } else {
+            const Cache::Placement p = dcache_.lookup(block, in.store, tick);
+            if (!p.access.hit) {
+              dmiss = true;
+              halt += miss_halt;
+              // FXU0 performs the directory search / refill bookkeeping
+              // for misses, holding its pipe for the halt duration (unless
+              // this very instruction already claimed FXU0).
+              if (u != 0) fxu0 = std::max(fxu0, issue_at + halt);
+              if (kCounting) {
+                ev.dcache_miss += 1;
+                ev.dcache_reload += p.access.reload ? 1 : 0;
+                ev.dcache_store += p.access.dirty_evict ? 1 : 0;
+              }
+              // Forget every hint naming the line this fill replaced.
+              if (p.replaced) {
+                for (Stream& o : streams_) {
+                  if (o.line == p.slot) o.block = kNoHint;
+                }
+              }
+            }
+            if (p.resident) {
+              s.block = block;
+              s.line = p.slot;
+            }
           }
         }
-        const CacheAccess acc = dcache_.access(addr, is_store);
-        if (!acc.hit) {
-          ev_dmiss = true;
-          halt += cfg_.dcache_miss_halt;
-          if (counting) {
-            ev.dcache_miss += 1;
-            ev.stall_dcache += cfg_.dcache_miss_halt;
-          }
-          // FXU0 performs the directory search / refill bookkeeping for
-          // misses, holding its pipe for the halt duration.
-          fxu_free_[0] = std::max(fxu_free_[0], issue_at + halt);
-        }
-        if (counting) {
-          if (acc.reload) ev.dcache_reload += 1;
-          if (acc.dirty_evict) ev.dcache_store += 1;
-          ev.memory_inst += 1;
-          if (in.quad) ev.quad_inst += 1;
-        }
-        ready += halt;
       }
-      fxu_free_[u] = issue_at + busy;
-      if (counting) (u == 0 ? ev.fxu0_inst : ev.fxu1_inst) += 1;
 
-      if (halt > 0) {
-        // "Execution may halt ... while the reference is satisfied."
-        issue_cycle = issue_at + halt;
-        issued = 0;
-        ready_cur_[i] = ready;
-        if (trace_sink_ != nullptr) {
-          trace_sink_->events.push_back(
-              {trace_iteration_, static_cast<std::uint16_t>(i), in.op,
-               static_cast<std::uint8_t>(unit_used), issue_at, ready,
-               ev_dmiss, ev_tmiss});
-        }
-        continue;
-      }
-    } else {
-      // ICU: branches and condition-register ops, one per cycle.
-      issue_at = std::max(earliest, icu_free_);
-      icu_free_ = issue_at + 1;
-      ready = issue_at + 1;
-      if (counting) {
-        (in.op == OpClass::kBranch ? ev.icu_type1 : ev.icu_type2) += 1;
+      // "Execution may halt ... while the reference is satisfied."  Issue
+      // never moves backwards (earliest >= issue_cycle), so without a halt
+      // the dispatcher simply follows this instruction.
+      const std::uint64_t ready = issue_at + in.latency + halt;
+      issued = halt != 0 ? 0 : issue_at > issue_cycle ? 1 : issued + 1;
+      issue_cycle = issue_at + halt;
+      cur[i] = ready;
+      if (kCounting) unit1[i] += u;
+      if (kTracing) {
+        sink->events.push_back({static_cast<std::uint32_t>(it),
+                                static_cast<std::uint16_t>(i), in.op,
+                                static_cast<std::uint8_t>(u), issue_at, ready,
+                                dmiss, tmiss});
       }
     }
 
-    if (issue_at > issue_cycle) {
-      issue_cycle = issue_at;
-      issued = 1;
-    } else {
-      ++issued;
+    if (icache_pressure_ && rng_.chance(icache_refill_p_)) {
+      if (kCounting) ev.icache_reload += 1;
+      issue_cycle += miss_halt;
     }
-    ready_cur_[i] = ready;
-    if (trace_sink_ != nullptr) {
-      trace_sink_->events.push_back(
-          {trace_iteration_, static_cast<std::uint16_t>(i), in.op,
-           static_cast<std::uint8_t>(unit_used), issue_at, ready, ev_dmiss,
-           ev_tmiss});
-    }
+    std::swap(cur, prev);
   }
 
-  // Occasional I-cache refill beyond the steady-state loop (subroutine-rich
-  // codes); drawn per iteration from the kernel's pressure parameter.
-  if (kernel.icache_miss_per_kinst > 0.0) {
-    const double p = kernel.icache_miss_per_kinst *
-                     static_cast<double>(kernel.body.size()) / 1000.0;
-    if (rng_.chance(std::min(p, 1.0))) {
-      if (counting) ev.icache_reload += 1;
-      issue_cycle += cfg_.dcache_miss_halt;
-    }
-  }
-
-  std::swap(ready_cur_, ready_prev_);
+  // Write the pipeline state back; ready_prev_ must name the last
+  // iteration's ready times.
+  if (prev != ready_prev_.data()) std::swap(ready_cur_, ready_prev_);
+  fxu_free_[0] = fxu0;
+  fxu_free_[1] = fxu1;
+  fpu_free_[0] = fpu0;
+  fpu_free_[1] = fpu1;
+  icu_free_ = icu;
+  fpu_rr_toggle_ = fpu_rr;
+  fxu_rr_toggle_ = fxu_rr;
+  pipe_cycle_ = issue_cycle;
+  pipe_issued_ = static_cast<std::uint32_t>(issued);
+  dcache_.settle(tick);
+  tlb_.settle(tick);
   return issue_cycle;
+}
+
+void Power2Core::count_body(std::uint64_t iterations, EventCounts& ev) const {
+  for (std::size_t i = 0; i < body_.size(); ++i) {
+    const Decoded& in = body_[i];
+    const std::uint64_t on1 = unit1_[i];
+    const std::uint64_t on0 = iterations - on1;
+    switch (in.op) {
+      case OpClass::kFpAdd:
+        ev.fp_add0 += on0;
+        ev.fp_add1 += on1;
+        break;
+      case OpClass::kFpMul:
+        ev.fp_mul0 += on0;
+        ev.fp_mul1 += on1;
+        break;
+      case OpClass::kFpDiv:
+        ev.fp_div0 += on0;
+        ev.fp_div1 += on1;
+        break;
+      case OpClass::kFpFma:
+        // The fma multiply lands in the fma counter and its add in the add
+        // counter (paper, section 5).
+        ev.fp_fma0 += on0;
+        ev.fp_fma1 += on1;
+        ev.fp_add0 += on0;
+        ev.fp_add1 += on1;
+        break;
+      case OpClass::kBranch:
+        ev.icu_type1 += iterations;
+        break;
+      case OpClass::kCondReg:
+        ev.icu_type2 += iterations;
+        break;
+      default:
+        break;  // sqrt has no dedicated HPM operation counter
+    }
+    if (in.unit == Unit::kFpu) {
+      ev.fpu0_inst += on0;
+      ev.fpu1_inst += on1;
+    } else if (in.unit != Unit::kIcu) {
+      ev.fxu0_inst += on0;
+      ev.fxu1_inst += on1;
+    }
+    if (in.unit == Unit::kMem) ev.memory_inst += iterations;
+    if (in.quad) ev.quad_inst += iterations;
+  }
+  ev.dispatched_inst += body_.size() * iterations;
+  ev.stall_dcache += ev.dcache_miss * cfg_.dcache_miss_halt;
 }
 
 std::string IssueTrace::format(std::size_t max_events) const {
@@ -330,17 +412,9 @@ IssueTrace Power2Core::trace(const KernelDesc& kernel,
                              std::uint32_t iterations) {
   bind(kernel);
   IssueTrace t;
-  EventCounts scratch;
-  std::uint64_t now = std::max({fxu_free_[0], fxu_free_[1], fpu_free_[0],
-                                fpu_free_[1], icu_free_, pipe_cycle_});
-  t.start_cycle = now;
-  trace_sink_ = &t;
-  for (std::uint32_t it = 0; it < iterations; ++it) {
-    trace_iteration_ = it;
-    now = run_iteration(kernel, now, /*counting=*/false, scratch);
-  }
-  trace_sink_ = nullptr;
-  t.end_cycle = now;
+  EventCounts unused;
+  t.start_cycle = resume_cycle();
+  t.end_cycle = run_loop<false, true>(t.start_cycle, iterations, unused, &t);
   return t;
 }
 
@@ -362,9 +436,7 @@ RunResult Power2Core::run_counted(const KernelDesc& kernel,
   const std::int64_t wall_begin_us = telemetry::wall_now_us();
   bind(kernel);
 
-  EventCounts scratch;
-  std::uint64_t now = std::max({fxu_free_[0], fxu_free_[1], fpu_free_[0],
-                                fpu_free_[1], icu_free_});
+  std::uint64_t now = resume_cycle();
 
   // Compulsory I-cache fill of the loop body text.
   const std::uint64_t body_bytes = kernel.body.size() * kInstBytes;
@@ -376,16 +448,12 @@ RunResult Power2Core::run_counted(const KernelDesc& kernel,
   }
   now += ireloads * cfg_.dcache_miss_halt;
 
-  for (std::uint64_t it = 0; it < kernel.warmup_iters; ++it) {
-    now = run_iteration(kernel, now, /*counting=*/false, scratch);
-  }
-
   EventCounts ev;
-  ev.icache_reload += ireloads;
+  now = run_loop<false, false>(now, kernel.warmup_iters, ev, nullptr);
   const std::uint64_t start = now;
-  for (std::uint64_t it = 0; it < measure_iters; ++it) {
-    now = run_iteration(kernel, now, /*counting=*/true, ev);
-  }
+  now = run_loop<true, false>(now, measure_iters, ev, nullptr);
+  count_body(measure_iters, ev);
+  ev.icache_reload += ireloads;
   ev.cycles = now - start;
 
   // Retire-batch audit: the accumulated counts of a measured run must obey

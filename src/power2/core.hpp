@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/check/annotate.hpp"
 #include "src/power2/cache.hpp"
@@ -109,7 +110,9 @@ class Power2Core {
 
   /// Runs warmup_iters uncounted, then measure_iters counted.  Cache and
   /// TLB contents persist across calls unless reset() is used; callers
-  /// modelling distinct processes should reset between kernels.
+  /// modelling distinct processes should reset between kernels.  A run
+  /// starts after any halt the previous run ended in, which that run has
+  /// already counted.
   RunResult run(const KernelDesc& kernel);
 
   /// Runs a specific number of measured iterations (after the kernel's own
@@ -144,13 +147,63 @@ class Power2Core {
   const CoreConfig& config() const { return cfg_; }
 
  private:
-  /// Executes one iteration starting at pipeline time `now`; returns the
-  /// cycle after the loop branch issues.  Counts events into `ev` when
-  /// counting is enabled.  Draws microarchitectural jitter only from the
-  /// core-private rng_ stream.
-  P2SIM_PAR_SAFE std::uint64_t run_iteration(const KernelDesc& kernel,
-                                             std::uint64_t now, bool counting,
-                                             EventCounts& ev);
+  /// The unit family a predecoded instruction issues to.
+  enum class Unit : std::uint8_t { kFpu, kFxu, kMem, kIcu };
+
+  /// One body instruction as the inner loop needs it, decoded by bind().
+  struct Decoded {
+    OpClass op = OpClass::kFpAdd;
+    Unit unit = Unit::kIcu;
+    std::uint8_t busy = 1;     ///< cycles the chosen unit stays occupied
+    std::uint8_t latency = 1;  ///< issue to result, before any memory halt
+    std::uint8_t stream = 0;   ///< memory ops only
+    bool fxu1_only = false;    ///< address multiply/divide
+    bool store = false;
+    bool quad = false;
+    /// Ready-time slots read by the op: the producer's body index, or the
+    /// body size (a slot that is always 0) for kNoDep.
+    std::uint32_t dep = 0;
+    std::uint32_t carried = 0;
+  };
+
+  /// One memory stream: its walk, and the D-cache line and TLB entry its
+  /// last access left it in (the resident-line fast path; see Cache).
+  struct Stream {
+    std::uint64_t base = 0;    ///< streams live in disjoint address regions
+    std::uint64_t cursor = 0;  ///< bytes walked, in [0, footprint)
+    std::int64_t footprint = 0;
+    std::int64_t stride = 0;
+    std::uint64_t block = kNoHint;  ///< resident D-cache block, or kNoHint
+    std::uint32_t line = 0;         ///< its slot in the D-cache
+    std::uint64_t page = kNoHint;   ///< resident virtual page, or kNoHint
+    std::uint32_t entry = 0;        ///< its slot in the TLB
+  };
+  static constexpr std::uint64_t kNoHint = ~std::uint64_t{0};
+
+  /// Predecodes `kernel` and resets the per-run loop state.
+  P2SIM_PAR_SAFE void bind(const KernelDesc& kernel);
+
+  /// The cycle a new run may start in: after every unit frees and after
+  /// any halt the previous run ended in.
+  P2SIM_PAR_SAFE std::uint64_t resume_cycle() const;
+
+  /// The one inner loop: runs `iterations` of the bound kernel from cycle
+  /// `now` and returns the cycle after the last loop branch issues.
+  /// kCounting adds the events that depend on the machine state (misses,
+  /// TLB stall cycles, reloads, dirty evictions, I-cache refills) to `ev`
+  /// and each instruction's unit-1 picks to unit1_; kTracing appends every
+  /// issue to `sink`.  Draws microarchitectural jitter only from the
+  /// core-private rng_.
+  template <bool kCounting, bool kTracing>
+  P2SIM_PAR_SAFE std::uint64_t run_loop(std::uint64_t now,
+                                        std::uint64_t iterations,
+                                        EventCounts& ev, IssueTrace* sink);
+
+  /// Adds the rest of a measured run's counts to `ev`: `iterations` x the
+  /// predecoded body, with unit-0 counts as that total minus unit1_, and
+  /// the D-cache stall cycles of the misses the loop counted.
+  P2SIM_PAR_SAFE void count_body(std::uint64_t iterations,
+                                 EventCounts& ev) const;
 
   CoreConfig cfg_;
   Cache dcache_;
@@ -164,27 +217,23 @@ class Power2Core {
   std::uint64_t icu_free_ = 0;
   bool fpu_rr_toggle_ = false;
   bool fxu_rr_toggle_ = false;
-  // Dispatch bookkeeping persists across iterations: the cycle currently
-  // receiving instructions and how many were issued in it.
+  // Dispatch bookkeeping persists across iterations and runs: the cycle
+  // currently receiving instructions and how many were issued in it.
   std::uint64_t pipe_cycle_ = 0;
   std::uint32_t pipe_issued_ = 0;
 
-  // Result-ready times, indexed by body position: current and previous
-  // iteration (for loop-carried dependencies).
+  // The bound kernel, predecoded.
+  std::vector<Decoded> body_;
+  std::vector<Stream> streams_;
+  bool icache_pressure_ = false;
+  double icache_refill_p_ = 0.0;  ///< per-iteration I-cache refill chance
+
+  // Result-ready times by body position (plus the always-0 slot): the
+  // current and the previous iteration (for loop-carried dependencies).
   std::vector<std::uint64_t> ready_cur_;
   std::vector<std::uint64_t> ready_prev_;
-
-  // Per-stream cursors (bytes walked within the stream footprint) and
-  // base addresses (streams live in disjoint address regions).
-  std::vector<std::uint64_t> stream_cursor_;
-  std::vector<std::uint64_t> stream_base_;
-  const KernelDesc* bound_kernel_ = nullptr;
-
-  // Tracing: when non-null, run_iteration appends issue events here.
-  IssueTrace* trace_sink_ = nullptr;
-  std::uint32_t trace_iteration_ = 0;
-
-  P2SIM_PAR_SAFE void bind(const KernelDesc& kernel);
+  // Measured iterations each body instruction ran on unit 1.
+  std::vector<std::uint64_t> unit1_;
 };
 
 }  // namespace p2sim::power2

@@ -1,5 +1,6 @@
 #include "src/power2/kernel_desc.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace p2sim::power2 {
@@ -20,6 +21,11 @@ std::string KernelDesc::validate() const {
   }
   for (std::size_t i = 0; i < body.size(); ++i) {
     const Instr& in = body[i];
+    // kCondReg is the last OpClass; restore_ckpt reads the byte raw.
+    if (static_cast<std::uint8_t>(in.op) >
+        static_cast<std::uint8_t>(OpClass::kCondReg)) {
+      return "op outside OpClass";
+    }
     if (in.op == OpClass::kBranch && i + 1 != body.size()) {
       return "branch allowed only as the final instruction";
     }
@@ -46,6 +52,9 @@ std::string KernelDesc::validate() const {
     if (s.stride_bytes == 0) return "stream stride must be nonzero";
   }
   if (measure_iters == 0) return "measure_iters must be > 0";
+  if (!std::isfinite(icache_miss_per_kinst) || icache_miss_per_kinst < 0.0) {
+    return "icache_miss_per_kinst must be finite and >= 0";
+  }
   return {};
 }
 
@@ -66,7 +75,11 @@ std::uint64_t KernelDesc::content_hash() const {
   }
   h = mix64(h, warmup_iters);
   h = mix64(h, measure_iters);
-  h = mix64(h, static_cast<std::uint64_t>(icache_miss_per_kinst * 1e6));
+  // Saturated so that a kernel validate() would reject still hashes
+  // without an out-of-range cast.
+  const double pressure = icache_miss_per_kinst * 1e6;
+  const bool in_range = pressure >= 0.0 && pressure < 0x1p64;
+  h = mix64(h, in_range ? static_cast<std::uint64_t>(pressure) : ~0ULL);
   return h;
 }
 

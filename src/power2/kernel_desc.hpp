@@ -57,9 +57,10 @@ struct KernelDesc {
   /// compulsory first-iteration misses (models subroutine-rich codes).
   double icache_miss_per_kinst = 0.0;
 
-  /// Validates structural invariants (dep indices in range, streams bound,
-  /// body ends with exactly one branch).  Returns an empty string when
-  /// valid, else a diagnostic.  Read-only, so parallel measurement workers
+  /// Validates structural invariants (ops within OpClass, dep indices in
+  /// range, streams bound, body ends with exactly one branch, a finite
+  /// non-negative I-cache pressure).  Returns an empty string when valid,
+  /// else a diagnostic.  Read-only, so parallel measurement workers
   /// may validate the (immutable) kernels they are handed.
   P2SIM_PAR_SAFE std::string validate() const;
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/check/annotate.hpp"
-#include "src/check/check.hpp"
 
 namespace p2sim::power2 {
 
@@ -26,15 +25,39 @@ class Tlb {
 
   /// Returns true on a hit; a miss installs the translation (LRU victim).
   /// Instance-local state only: safe on a worker-private core inside the
-  /// parallel measurement region.  Defined below, in the header, so the
-  /// core's inner loop can inline it.
+  /// parallel measurement region.
   P2SIM_PAR_SAFE bool access(std::uint64_t addr);
+
+  // ---- Resident-entry protocol (the core's inner loop) -------------------
+  // The same contract as Cache's resident-line protocol: the caller holds
+  // the tick, touch()es the entry its stream last used when the access
+  // lands in that page, looks up every other page, forgets every hint
+  // naming a slot whose valid entry lookup() replaced, and settle()s the
+  // tick at the end of the run.
+
+  /// Where lookup() left a page's translation.
+  struct Placement {
+    bool hit = false;
+    std::uint32_t slot = 0;  ///< the entry now holding the translation
+    bool replaced = false;   ///< the fill evicted the valid entry in `slot`
+  };
+
+  P2SIM_PAR_SAFE std::uint64_t tick() const { return tick_; }
+  P2SIM_PAR_SAFE void touch(std::uint32_t slot, std::uint64_t tick) {
+    entries_[slot].lru = tick;
+  }
+  /// A full lookup of virtual page `vpn` (address >> log2(page_bytes)).
+  P2SIM_PAR_SAFE Placement lookup(std::uint64_t vpn, std::uint64_t tick);
+  P2SIM_PAR_SAFE void settle(std::uint64_t tick) {
+    accesses_ += tick - tick_;
+    tick_ = tick;
+  }
 
   void flush();
   P2SIM_PAR_SAFE const TlbConfig& config() const { return cfg_; }
-  std::uint64_t hits() const { return hits_; }
+  std::uint64_t hits() const { return accesses_ - misses_; }
   std::uint64_t misses() const { return misses_; }
-  /// Lifetime access count (accesses == hits + misses, audited).
+  /// Lifetime access count (accesses == hits + misses).
   std::uint64_t accesses() const { return accesses_; }
 
  private:
@@ -50,43 +73,13 @@ class Tlb {
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;
   std::uint64_t accesses_ = 0;
-  std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
 
 inline bool Tlb::access(std::uint64_t addr) {
-  const std::uint64_t vpn = addr >> page_shift_;
-  const std::uint64_t set = vpn & set_mask_;
-  Entry* base = &entries_[set * cfg_.ways];
-  ++tick_;
-  ++accesses_;
-
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Entry& e = base[w];
-    if (e.valid && e.vpn == vpn) {
-      e.lru = tick_;
-      ++hits_;
-      P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                      "every TLB access is a hit or a miss");
-      return true;
-    }
-  }
-  ++misses_;
-  Entry* victim = base;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Entry& e = base[w];
-    if (!e.valid) {
-      victim = &e;
-      break;
-    }
-    if (e.lru < victim->lru) victim = &e;
-  }
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->lru = tick_;
-  P2SIM_INVARIANT(hits_ + misses_ == accesses_,
-                  "every TLB access is a hit or a miss");
-  return false;
+  const Placement p = lookup(addr >> page_shift_, tick_ + 1);
+  settle(tick_ + 1);
+  return p.hit;
 }
 
 }  // namespace p2sim::power2

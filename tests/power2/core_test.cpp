@@ -273,5 +273,29 @@ TEST(Core, IcacheCompulsoryFillCounted) {
   EXPECT_EQ(r.counts.icache_reload, 2u);
 }
 
+TEST(Core, BackToBackRunsDoNotRecountTheLastHalt) {
+  // A run whose last iteration draws an I-cache refill ends with the
+  // dispatcher halted past every unit's free time.  The previous run has
+  // already counted that halt, so the next run on the same core (as
+  // ProgramProfiler::run_section issues them) must start after it rather
+  // than count it again.
+  KernelBuilder pb("missing_with_pressure");
+  pb.load(pb.stream(8 << 20, 264));
+  const KernelDesc pressure =
+      pb.warmup(0).measure(20).icache_pressure(200.0).build();
+  KernelBuilder ab("two_adds");
+  ab.fp_add();
+  ab.fp_add();
+  const KernelDesc adds = ab.warmup(0).measure(10).build();
+  const std::uint64_t fresh = Power2Core().run(adds).counts.cycles;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    CoreConfig cfg;
+    cfg.rng_seed = seed;
+    Power2Core core(cfg);
+    core.run(pressure);
+    EXPECT_EQ(core.run(adds).counts.cycles, fresh) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace p2sim::power2

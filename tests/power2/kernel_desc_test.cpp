@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "src/power2/isa.hpp"
 
 namespace p2sim::power2 {
@@ -133,6 +136,25 @@ TEST(Validate, ZeroMeasureItersRejected) {
   KernelDesc k = tiny_kernel();
   k.measure_iters = 0;
   EXPECT_FALSE(k.validate().empty());
+}
+
+TEST(Validate, OpOutsideOpClassRejected) {
+  // restore_ckpt reads the op byte raw; the core predecodes by op class.
+  KernelDesc k = tiny_kernel();
+  k.body[1].op = static_cast<OpClass>(200);
+  EXPECT_FALSE(k.validate().empty());
+}
+
+TEST(Validate, NegativeOrNonFiniteIcachePressureRejected) {
+  // content_hash() scales the pressure into an integer, which is only
+  // defined for finite non-negative values.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, nan, inf}) {
+    KernelBuilder b("pressure");
+    b.fp_add();
+    EXPECT_THROW(b.icache_pressure(bad).build(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(StaticCounts, PerIterationTotals) {
