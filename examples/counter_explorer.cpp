@@ -75,18 +75,17 @@ int main() {
   std::printf("\n3. PBS prologue/epilogue -> per-job counter report\n");
   rs2hpm::JobMonitor jm;
   // Two nodes' extended totals at job start...
-  std::vector<rs2hpm::ModeTotals> start(2);
-  std::vector<std::uint64_t> quads(2, 0);
-  jm.prologue(/*job_id=*/42, /*start_s=*/0.0, start, quads);
+  std::vector<rs2hpm::NodeSample> start(2);
+  jm.prologue(/*job_id=*/42, /*start_s=*/0.0, start);
   // ...and at job end, after 1200 s of work at ~20 Mflops/node.
-  std::vector<rs2hpm::ModeTotals> end(2);
-  for (auto& t : end) {
-    t.user[hpm::index_of(HpmCounter::kFpAdd0)] = 14'400'000'000ull;
-    t.user[hpm::index_of(HpmCounter::kFpMulAdd0)] = 9'600'000'000ull;
-    t.user[hpm::index_of(HpmCounter::kUserFxu0)] = 40'000'000'000ull;
-    t.user[hpm::index_of(HpmCounter::kUserCycles)] = 60'000'000'000ull;
+  std::vector<rs2hpm::NodeSample> end(2);
+  for (rs2hpm::NodeSample& n : end) {
+    n.totals.user[hpm::index_of(HpmCounter::kFpAdd0)] = 14'400'000'000ull;
+    n.totals.user[hpm::index_of(HpmCounter::kFpMulAdd0)] = 9'600'000'000ull;
+    n.totals.user[hpm::index_of(HpmCounter::kUserFxu0)] = 40'000'000'000ull;
+    n.totals.user[hpm::index_of(HpmCounter::kUserCycles)] = 60'000'000'000ull;
   }
-  const rs2hpm::JobCounterReport rep = jm.epilogue(42, 1200.0, end, quads);
+  const rs2hpm::JobCounterReport rep = jm.epilogue(42, 1200.0, end);
   const rs2hpm::DerivedRates r = rep.rates();
   std::printf("   job %lld: %d nodes, %.0f s\n",
               static_cast<long long>(rep.job_id), rep.nodes, rep.elapsed_s);

@@ -127,12 +127,6 @@ bool FaultInjector::miss_interval(std::int64_t interval) {
   return true;
 }
 
-bool FaultInjector::lose_node_sample(int node, std::int64_t interval) {
-  if (!sched_.node_sample_lost(node, interval)) return false;
-  note_samples_lost(1);
-  return true;
-}
-
 void FaultInjector::note_samples_lost(std::int64_t count) {
   if (count <= 0) return;
   log_.node_samples_lost += count;

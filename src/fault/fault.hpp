@@ -162,16 +162,15 @@ class FaultInjector {
   /// Query-and-log entry points (log only when the fault fires).
   bool crash_now(int node, std::int64_t interval);
   bool miss_interval(std::int64_t interval);
-  bool lose_node_sample(int node, std::int64_t interval);
   bool lose_prologue(std::int64_t job_id, int attempt);
   bool lose_epilogue(std::int64_t job_id, int attempt);
 
   /// Side-effect bookkeeping the driver reports as it happens.
   void note_node_down() { ++log_.down_node_intervals; }
   void note_node_unreachable() { ++log_.node_samples_unreachable; }
-  /// Batch variant of lose_node_sample's logging half: the lanes already
-  /// decided (via the schedule) which samples were lost this interval; the
-  /// serial fold reports the tally here so log and telemetry stay exact.
+  /// Per-node sample losses: the lanes decide (via the schedule's
+  /// node_sample_lost) which samples were lost this interval; the serial
+  /// fold reports the tally here so log and telemetry stay exact.
   void note_samples_lost(std::int64_t count);
   void note_job_killed(bool had_prologue) {
     ++log_.jobs_killed;

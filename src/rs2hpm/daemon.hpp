@@ -2,22 +2,23 @@
 //
 // On the real machine a cron script ran every 15 minutes, pulled the
 // extended counter totals from the RS2HPM daemon on every node available
-// for user jobs, and appended them to a file for later analysis.  This
-// class is that pipeline: it receives each node's 64-bit totals once per
-// interval, forms wrap-free deltas per node, and stores one aggregated
-// record per interval.  The daemon samples whether or not user processes
-// are executing — idle nodes simply contribute near-zero deltas.
+// for user jobs, and appended them to a file for later analysis.  Here each
+// node's probe forms its wrap-free delta once per interval, the campaign
+// sums them, and this log stores one aggregated record per interval.  The
+// daemon samples whether or not user processes are executing — idle nodes
+// simply contribute near-zero deltas.
 //
 // Production hardening: over nine months the collection is lossy.  Nodes
 // reboot (their counters restart from zero) and single-node fetches time
-// out.  The daemon therefore primes each node independently, detects
-// non-monotone totals and *re-primes* that node rather than forming a
-// wrapped uint64 delta, and records per-interval coverage (nodes_sampled
-// vs nodes_expected) so the analysis can weight or discard thin samples.
+// out.  Each node's baseline is therefore kept independently; a node whose
+// totals went backwards is *re-primed* rather than forming a wrapped uint64
+// delta (add_delta_if_monotone), and each record carries its coverage
+// (nodes_sampled vs nodes_expected) so the analysis can weight or discard
+// thin samples.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/check/annotate.hpp"
@@ -63,55 +64,25 @@ struct IntervalRecord {
   }
 };
 
+/// The daemon's record log.  Each node's probe (workload::NodeLane::probe,
+/// through the shared reboot guard) forms that node's wrap-free delta
+/// against its own baseline; the campaign sums the probes of an interval
+/// and hands the merged record to ingest(), which appends it here.
 class SamplingDaemon {
  public:
-  explicit SamplingDaemon(std::size_t num_nodes);
-
-  /// Ingests one interval: `node_totals[i]` is node i's monotone 64-bit
-  /// extended totals at the end of the interval, `node_quads[i]` its
-  /// cumulative quad-instruction diagnostic.  `busy_nodes` comes from the
-  /// batch system.  Spans must cover all nodes.  Equivalent to the lossy
-  /// overload with every node reachable.
-  P2SIM_SERIAL_ONLY void collect(std::int64_t interval,
-                                 std::span<const ModeTotals> node_totals,
-                                 std::span<const std::uint64_t> node_quads,
-                                 int busy_nodes);
-
-  /// Lossy collection: `reachable[i] == 0` means node i could not be
-  /// sampled this interval (down, or the fetch was dropped).  Unreachable
-  /// nodes keep their previous baseline — their next clean delta simply
-  /// spans the gap.  A node whose totals went backwards (counter reset)
-  /// is re-primed at the new values and contributes nothing this interval.
-  P2SIM_SERIAL_ONLY void collect(std::int64_t interval,
-                                 std::span<const ModeTotals> node_totals,
-                                 std::span<const std::uint64_t> node_quads,
-                                 std::span<const std::uint8_t> reachable,
-                                 int busy_nodes);
-
-  /// Adopts one already-merged interval record: the accounting tail of
-  /// collect(), split out for callers that form per-node deltas themselves
-  /// (the campaign driver's lane pipeline probes nodes inside the parallel
-  /// region and tree-merges the samples before handing the result here).
-  /// `unreachable` counts nodes that could not be sampled (down or dropped
-  /// in flight), `newly_primed` first-contact nodes, and `any_primed`
-  /// gates record emission exactly as collect() does — a fleet with no
-  /// baseline yet emits nothing.  Emits the same telemetry as collect().
-  P2SIM_SERIAL_ONLY void ingest(const IntervalRecord& rec, int unreachable,
-                                int newly_primed, bool any_primed);
+  /// Appends one merged interval record and emits its telemetry.
+  /// `unreachable` counts the nodes that could not be sampled (down, or
+  /// the fetch was dropped in flight); with the sampled and re-primed
+  /// nodes they partition the fleet.
+  P2SIM_SERIAL_ONLY void ingest(const IntervalRecord& rec, int unreachable);
 
   const std::vector<IntervalRecord>& records() const { return records_; }
-  std::size_t num_nodes() const { return prev_.size(); }
+  /// Hands the log over at campaign end, leaving it empty.
+  std::vector<IntervalRecord> take_records() { return std::move(records_); }
 
-  /// Lifetime counts of the degradations the daemon absorbed.
-  std::int64_t total_reprimes() const { return total_reprimes_; }
-  std::int64_t total_unreachable() const { return total_unreachable_; }
-
-  /// Checkpoint support: primed flags, the primed nodes' baselines and
-  /// the lifetime degradation tallies.  The append-only record stream travels
-  /// in the checkpoint journal instead: save_journal writes the records
-  /// from index `from` on, replay_journal appends one such section.
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
+  /// Checkpoint support: the append-only record stream travels in the
+  /// checkpoint journal.  save_journal writes the records from index
+  /// `from` on, replay_journal appends one such section.
   void save_journal(util::CkptWriter& w, std::size_t from) const {
     util::save_journal_section(w, records_, from);
   }
@@ -120,12 +91,7 @@ class SamplingDaemon {
   }
 
  private:
-  std::vector<ModeTotals> prev_;
-  std::vector<std::uint64_t> prev_quads_;
-  std::vector<std::uint8_t> primed_;
   std::vector<IntervalRecord> records_;
-  std::int64_t total_reprimes_ = 0;
-  std::int64_t total_unreachable_ = 0;
 };
 
 }  // namespace p2sim::rs2hpm

@@ -29,52 +29,42 @@ JobCounterReport JobCounterReport::incomplete(std::int64_t job_id, int nodes,
 }
 
 void JobMonitor::prologue(std::int64_t job_id, double start_s,
-                          std::span<const ModeTotals> node_totals,
-                          std::span<const std::uint64_t> node_quads) {
-  if (node_totals.size() != node_quads.size() || node_totals.empty()) {
-    throw std::invalid_argument("prologue: bad node spans");
-  }
+                          std::span<const NodeSample> nodes) {
+  if (nodes.empty()) throw std::invalid_argument("prologue: no nodes");
   if (open_.contains(job_id)) {
     throw std::invalid_argument("prologue: job already open");
   }
   Open o;
   o.start_s = start_s;
-  o.totals.assign(node_totals.begin(), node_totals.end());
-  o.quads.assign(node_quads.begin(), node_quads.end());
+  o.nodes.assign(nodes.begin(), nodes.end());
   open_.emplace(job_id, std::move(o));
   mark("job_prologue", start_s, job_id);
 }
 
-JobCounterReport JobMonitor::epilogue(
-    std::int64_t job_id, double end_s,
-    std::span<const ModeTotals> node_totals,
-    std::span<const std::uint64_t> node_quads) {
+JobCounterReport JobMonitor::epilogue(std::int64_t job_id, double end_s,
+                                      std::span<const NodeSample> nodes) {
   auto it = open_.find(job_id);
   if (it == open_.end()) {
     throw std::invalid_argument("epilogue: no prologue for job");
   }
   const Open& o = it->second;
-  if (node_totals.size() != o.totals.size() ||
-      node_quads.size() != o.quads.size()) {
+  if (nodes.size() != o.nodes.size()) {
     throw std::invalid_argument("epilogue: node count changed");
   }
   JobCounterReport rep;
   rep.job_id = job_id;
-  rep.nodes = static_cast<int>(o.totals.size());
+  rep.nodes = static_cast<int>(o.nodes.size());
   rep.elapsed_s = end_s - o.start_s;
   P2SIM_CHECK(rep.elapsed_s >= 0.0,
               "epilogue cannot precede the job's prologue");
-  for (std::size_t i = 0; i < o.totals.size(); ++i) {
-    // Unconditional monotone guard: a node that rebooted mid-job restarts
-    // its counters from zero, and subtracting the prologue baseline would
-    // wrap the uint64 deltas.  Drop the node, mark the report incomplete.
-    if (!node_totals[i].covers(o.totals[i]) || node_quads[i] < o.quads[i]) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    // A node that rebooted mid-job restarted its counters from zero: the
+    // guard drops it, and the report is marked incomplete.
+    if (!add_delta_if_monotone(o.nodes[i], nodes[i].totals, nodes[i].quad,
+                               rep.delta, rep.quad_surplus)) {
       ++rep.nodes_reset;
       rep.complete = false;
-      continue;
     }
-    rep.delta += node_totals[i].since(o.totals[i]);
-    rep.quad_surplus += node_quads[i] - o.quads[i];
   }
   open_.erase(it);
   mark("job_epilogue", end_s, job_id);
@@ -95,7 +85,7 @@ JobCounterReport JobMonitor::abandon(std::int64_t job_id, double end_s) {
     throw std::invalid_argument("abandon: no prologue for job");
   }
   JobCounterReport rep = JobCounterReport::incomplete(
-      job_id, static_cast<int>(it->second.totals.size()),
+      job_id, static_cast<int>(it->second.nodes.size()),
       end_s - it->second.start_s);
   open_.erase(it);
   mark("job_abandoned", end_s, job_id);
@@ -113,9 +103,8 @@ void JobMonitor::save_ckpt(util::CkptWriter& w) const {
   for (const auto& [id, o] : open_) {
     w.put_i64(id);
     w.put_f64(o.start_s);
-    w.put_u64(o.totals.size());
-    for (const ModeTotals& t : o.totals) t.save_ckpt(w);
-    for (std::uint64_t q : o.quads) w.put_u64(q);
+    w.put_u64(o.nodes.size());
+    for (const NodeSample& n : o.nodes) n.save_ckpt(w);
   }
 }
 
@@ -127,10 +116,8 @@ void JobMonitor::restore_ckpt(util::CkptReader& r) {
     Open o;
     o.start_s = r.read_f64("jobmon.start_s");
     std::uint64_t nn = r.read_u64("jobmon.node_count");
-    o.totals.resize(static_cast<std::size_t>(nn));
-    for (ModeTotals& t : o.totals) t.restore_ckpt(r);
-    o.quads.resize(static_cast<std::size_t>(nn));
-    for (std::uint64_t& q : o.quads) q = r.read_u64("jobmon.quad");
+    o.nodes.resize(static_cast<std::size_t>(nn));
+    for (NodeSample& n : o.nodes) n.restore_ckpt(r);
     open_.emplace(id, std::move(o));
   }
 }

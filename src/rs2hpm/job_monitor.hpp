@@ -79,18 +79,16 @@ struct JobCounterReport {
 
 class JobMonitor {
  public:
-  /// Prologue: records each held node's extended totals at job start.
+  /// Prologue: records each held node's sample at job start.
   void prologue(std::int64_t job_id, double start_s,
-                std::span<const ModeTotals> node_totals,
-                std::span<const std::uint64_t> node_quads);
+                std::span<const NodeSample> nodes);
 
   /// Epilogue: forms the per-node deltas and returns the report.  The job
-  /// must have an outstanding prologue; spans must match its node count.
+  /// must have an outstanding prologue; `nodes` must match its node count.
   /// Nodes whose counters are non-monotone over the window (reset by a
   /// reboot) are dropped from the delta and the report marked incomplete.
   JobCounterReport epilogue(std::int64_t job_id, double end_s,
-                            std::span<const ModeTotals> node_totals,
-                            std::span<const std::uint64_t> node_quads);
+                            std::span<const NodeSample> nodes);
 
   /// The epilogue never ran (job killed, script lost): closes the open
   /// prologue and returns an explicitly incomplete report with no deltas.
@@ -109,8 +107,7 @@ class JobMonitor {
  private:
   struct Open {
     double start_s = 0.0;
-    std::vector<ModeTotals> totals;
-    std::vector<std::uint64_t> quads;
+    std::vector<NodeSample> nodes;
   };
   std::map<std::int64_t, Open> open_;
 };

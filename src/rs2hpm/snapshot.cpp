@@ -44,6 +44,18 @@ bool ModeTotals::covers(const ModeTotals& earlier) const {
   return true;
 }
 
+bool add_delta_if_monotone(const NodeSample& base, const ModeTotals& totals,
+                           std::uint64_t quad, ModeTotals& delta,
+                           std::uint64_t& quad_surplus) {
+  if (quad < base.quad || !totals.covers(base.totals)) return false;
+  for (std::size_t i = 0; i < hpm::kNumCounters; ++i) {
+    delta.user[i] += totals.user[i] - base.totals.user[i];
+    delta.system[i] += totals.system[i] - base.totals.system[i];
+  }
+  quad_surplus += quad - base.quad;
+  return true;
+}
+
 void ExtendedCounters::attach(const hpm::PerformanceMonitor& mon) {
   last_user_ = mon.bank(hpm::PrivilegeMode::kUser).raw();
   last_system_ = mon.bank(hpm::PrivilegeMode::kSystem).raw();

@@ -37,7 +37,8 @@ struct ModeTotals {
   /// True when every counter in both modes is >= its value in `earlier` —
   /// the monotonicity precondition of since().  A false return means the
   /// source counters were reset between the snapshots (node reboot): the
-  /// consumer must re-prime its baseline, never subtract.
+  /// consumer must re-prime its baseline, never subtract.  Its one
+  /// consumer is add_delta_if_monotone.
   P2SIM_PAR_SAFE bool covers(const ModeTotals& earlier) const;
 
   std::uint64_t user_at(hpm::HpmCounter c) const {
@@ -63,6 +64,41 @@ struct ModeTotals {
     for (std::uint64_t& v : system) v = r.read_u64("mode_totals.system");
   }
 };
+
+/// One node's counter baseline: its 64-bit extended totals and its
+/// cumulative quad-instruction diagnostic, read at the same instant.  The
+/// daemon probe keeps one per node between samples; the job monitor keeps
+/// one per held node between prologue and epilogue.
+struct NodeSample {
+  ModeTotals totals;
+  std::uint64_t quad = 0;
+
+  /// Checkpoint support.
+  void save_ckpt(util::CkptWriter& w) const {
+    totals.save_ckpt(w);
+    w.put_u64(quad);
+  }
+  void restore_ckpt(util::CkptReader& r) {
+    totals.restore_ckpt(r);
+    quad = r.read_u64("node_sample.quad");
+  }
+};
+
+/// The reboot guard, shared by the daemon probe and the job epilogue.
+/// When `totals`/`quad` (a node's values now) are monotone over `base` —
+/// every counter in both modes and the quad diagnostic — adds their
+/// per-counter deltas into `delta` and `quad_surplus` and returns true.
+/// Otherwise the counters were reset between the two reads (node reboot):
+/// it adds nothing and returns false, and the caller drops the node's
+/// contribution rather than wrap the uint64 deltas into astronomical
+/// garbage that no downstream check could attribute.  The guard is
+/// unconditional in every build.  Pure value arithmetic: safe inside the
+/// parallel region on lane-local baselines.
+P2SIM_PAR_SAFE bool add_delta_if_monotone(const NodeSample& base,
+                                          const ModeTotals& totals,
+                                          std::uint64_t quad,
+                                          ModeTotals& delta,
+                                          std::uint64_t& quad_surplus);
 
 /// Wrap-corrected 32-bit delta: (now - prev) mod 2^32.  Correct as long as
 /// fewer than 2^32 events occurred between the samples.

@@ -20,7 +20,7 @@ namespace {
 
 /// Generation magic: version bumps rename the last byte, so an old binary
 /// rejects a new checkpoint with "bad magic" instead of misparsing it.
-constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '3'};
+constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '4'};
 /// Generation header: magic, config hash, resume interval, journal bytes,
 /// journal chain, payload size, payload checksum, header checksum.
 constexpr std::size_t kHeaderSize = 64;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "src/archive/writer.hpp"
 #include "src/check/check.hpp"
@@ -97,7 +98,6 @@ struct WorkloadDriver::CampaignState {
         }(), registry),
         signatures(cfg.core,
                    power2::SignatureStoreConfig{cfg.signature_store_path}),
-        daemon(static_cast<std::size_t>(cfg.num_nodes)),
         nfs(cfg.nfs),
         rng(cfg.seed),
         inject(cfg.faults),
@@ -152,14 +152,11 @@ struct WorkloadDriver::CampaignState {
   /// Appends one journal frame's entries to the collections.
   void replay_journal_frame(util::CkptReader& r);
 
-  /// Snapshot spans over the nodes a job holds (prologue/epilogue input).
-  std::pair<std::vector<rs2hpm::ModeTotals>, std::vector<std::uint64_t>>
-  job_spans(const std::vector<int>& held) {
-    std::pair<std::vector<rs2hpm::ModeTotals>, std::vector<std::uint64_t>> out;
-    for (int n : held) {
-      out.first.push_back(node(n).totals());
-      out.second.push_back(node(n).quad_total());
-    }
+  /// Samples of the nodes a job holds (prologue/epilogue input).
+  std::vector<rs2hpm::NodeSample> job_samples(const std::vector<int>& held) {
+    std::vector<rs2hpm::NodeSample> out;
+    out.reserve(held.size());
+    for (int n : held) out.push_back({node(n).totals(), node(n).quad_total()});
     return out;
   }
 
@@ -311,7 +308,6 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
   registry.save_ckpt(w);
   gen.save_ckpt(w);
   signatures.save_ckpt(w);
-  daemon.save_ckpt(w);
   jobmon.save_ckpt(w);
   nfs.save_ckpt(w);
   inject.save_ckpt(w);
@@ -319,9 +315,7 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
   for (const NodeLane& lane : lanes) {
     lane.node.save_ckpt(w);
     lane.rng.save_ckpt(w);
-    lane.probe_prev.save_ckpt(w);
-    w.put_u64(lane.probe_prev_quad);
-    w.put_bool(lane.probe_primed);
+    lane.baseline.save_ckpt(w);
   }
   w.put_u64(running.size());
   for (const auto& [id, r] : running) {
@@ -446,7 +440,6 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
   registry.restore_ckpt(r);
   gen.restore_ckpt(r);
   signatures.restore_ckpt(r);
-  daemon.restore_ckpt(r);
   jobmon.restore_ckpt(r);
   nfs.restore_ckpt(r);
   inject.restore_ckpt(r);
@@ -457,9 +450,7 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
   for (NodeLane& lane : lanes) {
     lane.node.restore_ckpt(r);
     lane.rng.restore_ckpt(r);
-    lane.probe_prev.restore_ckpt(r);
-    lane.probe_prev_quad = r.read_u64("campaign.lane_probe_quad");
-    lane.probe_primed = r.read_bool("campaign.lane_probe_primed");
+    lane.baseline.restore_ckpt(r);
   }
   running.clear();
   std::fill(node_job.begin(), node_job.end(), nullptr);
@@ -715,8 +706,7 @@ void WorkloadDriver::phase_launch(CampaignState& st) {
         st.inject.lose_prologue(r.spec.job_id, r.attempt)) {
       r.has_prologue = false;  // the rsh timed out; no baseline snapshot
     } else {
-      auto [jt, jq] = st.job_spans(r.nodes);
-      st.jobmon.prologue(r.spec.job_id, st.now, jt, jq);
+      st.jobmon.prologue(r.spec.job_id, st.now, st.job_samples(r.nodes));
     }
     auto [it, inserted] = st.running.emplace(r.spec.job_id, std::move(r));
     for (int n : it->second.nodes) {
@@ -930,8 +920,7 @@ void WorkloadDriver::phase_epilogues(CampaignState& st) {
       rec.report = st.jobmon.abandon(id, r.end_s);
       abandoned = true;
     } else {
-      auto [jt, jq] = st.job_spans(r.nodes);
-      rec.report = st.jobmon.epilogue(id, r.end_s, jt, jq);
+      rec.report = st.jobmon.epilogue(id, r.end_s, st.job_samples(r.nodes));
     }
     if (cfg_.observer != nullptr) {
       telemetry::JobSample js;
@@ -982,10 +971,7 @@ void WorkloadDriver::phase_collect(CampaignState& st) {
   rec.nodes_expected = cfg_.num_nodes;
   rec.nodes_reprimed = m.probes.reprimed;
   rec.busy_nodes = st.busy_now;
-  // Lanes start primed (fresh node counters are the all-zero baseline), so
-  // a merged record always has at least one baseline behind it.
-  st.daemon.ingest(rec, m.probes.down + m.probes.lost,
-                   m.probes.newly_primed, /*any_primed=*/true);
+  st.daemon.ingest(rec, m.probes.down + m.probes.lost);
 }
 
 void WorkloadDriver::phase_observe(CampaignState& st) {
@@ -1208,7 +1194,6 @@ CampaignResult WorkloadDriver::run() {
     st.day_span.close(static_cast<double>(st.total_intervals) * st.interval_s);
   }
 
-  st.result.intervals = st.daemon.records();
   st.result.intervals_expected = st.total_intervals;
   st.result.jobs_open_at_end =
       static_cast<std::int64_t>(st.running.size() + st.sched.queued_jobs());
@@ -1232,6 +1217,9 @@ CampaignResult WorkloadDriver::run() {
       throw std::runtime_error("p2sim: archive write failed: " + error);
     }
   }
+  // The logs move into the result (the archive has read the daemon's):
+  // a campaign's records are never live twice at its end.
+  st.result.intervals = st.daemon.take_records();
 #if P2SIM_CHECKS_ENABLED
   // Campaign-level audit: every 15-minute record the daemon produced must
   // obey the Table 1 identities in both privilege modes.
@@ -1243,7 +1231,7 @@ CampaignResult WorkloadDriver::run() {
         "workload::WorkloadDriver::run(interval system delta)");
   }
 #endif
-  return st.result;
+  return std::move(st.result);
 }
 
 CampaignResult run_campaign(const DriverConfig& cfg) {

@@ -60,8 +60,8 @@ struct LaneStep {
 
 /// Some lanes' work for one interval, summed: what each node spent the
 /// interval doing, and the daemon probes.  The node-interval fields count
-/// every interval; each probe field counts one per-node arm of
-/// SamplingDaemon::collect, and a cron-missed interval adds no probe.
+/// every interval; each probe field counts one arm of NodeLane::probe, and
+/// a cron-missed interval adds no probe.
 /// Every field is an integer sum, so the total is the same whichever lanes
 /// are added in whichever order: a worker adds its lanes into its shard's
 /// tally while they run, and the serial fold adds the shards' tallies.
@@ -71,11 +71,10 @@ struct ProbeTally {
   std::uint64_t down_node_intervals = 0;  ///< out of service after a crash
   rs2hpm::ModeTotals delta;        ///< counter deltas of the sampled nodes
   std::uint64_t quad_surplus = 0;  ///< quad diagnostic deltas, likewise
-  int sampled = 0;       ///< clean monotone delta
-  int reprimed = 0;      ///< counter reset detected; baseline re-established
-  int newly_primed = 0;  ///< first successful contact; baseline established
-  int down = 0;          ///< node was down: unreachable, baseline kept
-  int lost = 0;          ///< node up but its fetch was dropped in flight
+  int sampled = 0;   ///< clean monotone delta
+  int reprimed = 0;  ///< counter reset detected; baseline re-established
+  int down = 0;      ///< node was down: unreachable, baseline kept
+  int lost = 0;      ///< node up but its fetch was dropped in flight
 
   P2SIM_PAR_SAFE void add(const ProbeTally& o) {
     busy_node_intervals += o.busy_node_intervals;
@@ -85,7 +84,6 @@ struct ProbeTally {
     quad_surplus += o.quad_surplus;
     sampled += o.sampled;
     reprimed += o.reprimed;
-    newly_primed += o.newly_primed;
     down += o.down;
     lost += o.lost;
   }
@@ -98,9 +96,8 @@ class NodeLane {
   /// `rng_seed` is the campaign seed; the lane derives its private stream
   /// from (rng_seed, id) so streams are keyed to the node, not to order.
   ///
-  /// The probe baseline starts primed at zero: a fresh node's counters are
-  /// all-zero, so this is exactly the baseline the daemon's historical
-  /// priming pass (a collect at interval -1) would have established.
+  /// The probe baseline starts at zero: a fresh node's counters are
+  /// all-zero, so its first probe is a clean delta like any other.
   NodeLane(int id, const cluster::NodeConfig& cfg, std::uint64_t rng_seed,
            const fault::FaultSchedule* fault_view)
       : node(id, cfg),
@@ -138,12 +135,11 @@ class NodeLane {
 
   /// Drains `h` consecutive intervals starting at t0 end-to-end: per
   /// interval, derive the busy split from the work order, advance the
-  /// node, then probe its counters exactly as the daemon's serial per-node
-  /// loop did.  `miss[k]` marks horizon offset k as a whole-interval cron
-  /// miss (no probe draw, baseline kept).  Offset k's node-interval count
-  /// and probe are added into `tally[k]`, the calling shard's row, and the
-  /// interval's busy seconds are written to `busy[k * busy_stride]`, this
-  /// lane's slot.  Touches only lane-local state and those two outputs;
+  /// node, then probe its counters.  `miss[k]` marks horizon offset k as
+  /// a whole-interval cron miss (no probe draw, baseline kept).  Offset
+  /// k's node-interval count and probe are added into `tally[k]`, the
+  /// calling shard's row, and the interval's busy seconds are written to
+  /// `busy[k * busy_stride]`, this lane's slot.  Touches only lane-local state and those two outputs;
   /// the horizon phase guarantees the work order holds for every interval.
   P2SIM_PAR_SAFE void run_pipeline(std::int64_t t0, std::int64_t h,
                                    double interval_s,
@@ -162,10 +158,10 @@ class NodeLane {
     }
   }
 
-  /// One daemon probe of this lane's node, added into `tally`.  The
-  /// monotone guard, reprime and priming arms are the per-node body of
-  /// SamplingDaemon::collect, relocated so the probe can run inside the
-  /// parallel region against lane-owned baselines.
+  /// One daemon probe of this lane's node, added into `tally`: the node's
+  /// delta over the lane-owned baseline, through the shared reboot guard.
+  /// A down, lost or cron-missed node keeps its baseline, so its next
+  /// clean delta spans the gap; a reset node is re-primed.
   P2SIM_PAR_SAFE void probe(std::int64_t interval, bool missed,
                             ProbeTally& tally) {
     if (missed) return;  // the whole sample never happened; baseline kept
@@ -180,25 +176,16 @@ class NodeLane {
     }
     const rs2hpm::ModeTotals& totals = node.totals();
     const std::uint64_t quad = node.quad_total();
-    // The guard is unconditional in every build: subtracting a baseline
-    // from reset counters would wrap the uint64 deltas into astronomical
-    // garbage that no downstream check could attribute.
-    const bool monotone = probe_primed && totals.covers(probe_prev) &&
-                          quad >= probe_prev_quad;
-    if (monotone) {
-      tally.delta += totals.since(probe_prev);
-      tally.quad_surplus += quad - probe_prev_quad;
+    if (rs2hpm::add_delta_if_monotone(baseline, totals, quad, tally.delta,
+                                      tally.quad_surplus)) {
       ++tally.sampled;
-    } else if (probe_primed) {
+    } else {
       // Counter reset (node reboot) between samples: drop this interval's
       // contribution and re-establish the baseline.
       ++tally.reprimed;
-    } else {
-      ++tally.newly_primed;
     }
-    probe_prev = totals;
-    probe_prev_quad = quad;
-    probe_primed = true;
+    baseline.totals = totals;
+    baseline.quad = quad;
   }
 
   cluster::Node node;
@@ -214,10 +201,8 @@ class NodeLane {
   /// Busy seconds this lane contributed in the most recent interval.
   double interval_busy_s = 0.0;
 
-  /// Lane-owned daemon baseline (was SamplingDaemon's per-node state).
-  rs2hpm::ModeTotals probe_prev;
-  std::uint64_t probe_prev_quad = 0;
-  bool probe_primed = true;
+  /// Lane-owned daemon baseline: the node's values at its last probe.
+  rs2hpm::NodeSample baseline;
 };
 
 }  // namespace p2sim::workload

@@ -16,7 +16,6 @@
 
 #include "src/check/check.hpp"
 #include "src/hpm/monitor.hpp"
-#include "src/rs2hpm/daemon.hpp"
 #include "src/rs2hpm/snapshot.hpp"
 
 namespace p2sim {
@@ -171,30 +170,35 @@ TEST(WrapAcrossReset, CorrectionNeverAppliedAcrossResetBoundary) {
   // Counter wrap, node reset, and a missed collection interval in one
   // scenario.  wrap_delta() is the right tool *within* a monotone counter
   // stream; across a reset boundary it would fabricate a near-2^32 count.
-  // The daemon must re-prime at the reset and never wrap-correct over it.
+  // The reboot guard every sampler shares must refuse the pair, so the
+  // sampler re-primes at the reset and never wrap-corrects over it.
   hpm::PerformanceMonitor mon;
   rs2hpm::ExtendedCounters ext;
   ext.attach(mon);
-  rs2hpm::SamplingDaemon daemon(1);
-  std::vector<std::uint64_t> q = {0};
+  // The per-interval deltas a sampler would record.
+  std::vector<rs2hpm::ModeTotals> deltas;
+  const auto cycles = [](const rs2hpm::ModeTotals& t) {
+    return t.user_at(hpm::HpmCounter::kUserCycles);
+  };
 
-  // Interval 0: prime the daemon after one near-wrap burst.
+  // Interval 0: the baseline after one near-wrap burst.
   mon.accumulate(cycles_only(kWrapPeriodCycles), hpm::PrivilegeMode::kUser);
   ext.sample(mon);
-  std::vector<rs2hpm::ModeTotals> t = {ext.totals()};
-  daemon.collect(0, t, q, 1);
+  rs2hpm::NodeSample base{ext.totals(), 0};
 
   // Interval 1: a second burst pushes the 64-bit totals past 2^32.  The
   // extension layer's wrap correction is doing its legitimate job here and
-  // the daemon records the honest delta.
+  // the guard passes the honest delta.
   mon.accumulate(cycles_only(kWrapPeriodCycles), hpm::PrivilegeMode::kUser);
   ext.sample(mon);
-  t[0] = ext.totals();
-  daemon.collect(1, t, q, 1);
-  ASSERT_EQ(daemon.records().size(), 1u);
-  EXPECT_EQ(daemon.records()[0].delta.user_at(hpm::HpmCounter::kUserCycles),
-            kWrapPeriodCycles);
-  ASSERT_GT(t[0].user_at(hpm::HpmCounter::kUserCycles), kWrap);
+  rs2hpm::ModeTotals delta;
+  std::uint64_t quad_surplus = 0;
+  ASSERT_TRUE(rs2hpm::add_delta_if_monotone(base, ext.totals(), 0, delta,
+                                            quad_surplus));
+  deltas.push_back(delta);
+  EXPECT_EQ(cycles(delta), kWrapPeriodCycles);
+  ASSERT_GT(cycles(ext.totals()), kWrap);
+  base.totals = ext.totals();
 
   // Interval 2 is missed entirely (collection script never ran) while the
   // node crashes and reboots: fresh monitor, counters restarted from zero.
@@ -204,40 +208,34 @@ TEST(WrapAcrossReset, CorrectionNeverAppliedAcrossResetBoundary) {
   fresh.accumulate(cycles_only(1'000), hpm::PrivilegeMode::kUser);
   fresh_ext.sample(fresh);
 
-  // Interval 3: the daemon is back.  Totals (1000) sit far below the
-  // pre-crash baseline; covers() fails, so the node is re-primed and
-  // contributes nothing — no wrap arithmetic is applied to the pair.
-  t[0] = fresh_ext.totals();
-  EXPECT_FALSE(t[0].covers(ext.totals()));
-  daemon.collect(3, t, q, 1);
-  const rs2hpm::IntervalRecord& rec = daemon.records().back();
-  EXPECT_EQ(rec.interval, 3);
-  EXPECT_EQ(rec.nodes_sampled, 0);
-  EXPECT_EQ(rec.nodes_reprimed, 1);
-  EXPECT_EQ(rec.delta.user_at(hpm::HpmCounter::kUserCycles), 0u);
-  EXPECT_EQ(daemon.total_reprimes(), 1);
+  // Interval 3: sampling is back.  Totals (1000) sit far below the
+  // pre-crash baseline, so the guard refuses the pair and adds nothing —
+  // no wrap arithmetic is applied to it — and the sampler re-primes.
+  delta = rs2hpm::ModeTotals{};
+  EXPECT_FALSE(rs2hpm::add_delta_if_monotone(base, fresh_ext.totals(), 0,
+                                             delta, quad_surplus));
+  EXPECT_EQ(delta, rs2hpm::ModeTotals{});
+  EXPECT_EQ(quad_surplus, 0u);
+  deltas.push_back(delta);
+  base.totals = fresh_ext.totals();
 
   // What the naive 32-bit correction would have produced for that pair: a
-  // fabricated multi-million-cycle count for an idle node.  No record may
-  // contain it.
+  // fabricated multi-million-cycle count for an idle node.  No recorded
+  // delta may contain it.
   const std::uint64_t bogus = rs2hpm::wrap_delta(
       static_cast<std::uint32_t>(2 * kWrapPeriodCycles),
       static_cast<std::uint32_t>(1'000));
   EXPECT_GT(bogus, 1'000'000u);
-  for (const rs2hpm::IntervalRecord& r : daemon.records()) {
-    EXPECT_NE(r.delta.user_at(hpm::HpmCounter::kUserCycles), bogus);
-  }
+  for (const rs2hpm::ModeTotals& d : deltas) EXPECT_NE(cycles(d), bogus);
 
   // Interval 4: the re-established baseline measures cleanly again, wrap
   // correction once more confined to the monotone post-reboot stream.
   fresh.accumulate(cycles_only(500), hpm::PrivilegeMode::kUser);
   fresh_ext.sample(fresh);
-  t[0] = fresh_ext.totals();
-  daemon.collect(4, t, q, 1);
-  EXPECT_EQ(daemon.records().back().delta.user_at(
-                hpm::HpmCounter::kUserCycles),
-            500u);
-  EXPECT_EQ(daemon.records().back().nodes_sampled, 1);
+  delta = rs2hpm::ModeTotals{};
+  EXPECT_TRUE(rs2hpm::add_delta_if_monotone(base, fresh_ext.totals(), 0,
+                                            delta, quad_surplus));
+  EXPECT_EQ(cycles(delta), 500u);
 }
 
 TEST(ExtendedCountersWrap, AttachAfterActivityStartsFromBaseline) {

@@ -47,6 +47,71 @@ TEST(ModeTotals, Accessors) {
   EXPECT_EQ(t.total_at(HpmCounter::kUserFxu0), 10u);
 }
 
+NodeSample sample_with_user0(std::uint64_t v, std::uint64_t quad) {
+  NodeSample s;
+  s.totals.user[0] = v;
+  s.quad = quad;
+  return s;
+}
+
+TEST(RebootGuard, MonotoneDeltasAccumulateAcrossNodes) {
+  // Two nodes' exact deltas summed into one accumulator, both modes.
+  const NodeSample base0 = sample_with_user0(5, 1);
+  const NodeSample base1 = sample_with_user0(7, 2);
+  NodeSample now0 = sample_with_user0(15, 4);  // +10, quad +3
+  now0.totals.system[2] = 42;                  // system mode, +42
+  const NodeSample now1 = sample_with_user0(10, 2);  // +3, quad +0
+  ModeTotals delta;
+  std::uint64_t quad = 0;
+  EXPECT_TRUE(add_delta_if_monotone(base0, now0.totals, now0.quad, delta,
+                                    quad));
+  EXPECT_TRUE(add_delta_if_monotone(base1, now1.totals, now1.quad, delta,
+                                    quad));
+  EXPECT_EQ(delta.user[0], 13u);
+  EXPECT_EQ(delta.system[2], 42u);
+  EXPECT_EQ(quad, 3u);
+}
+
+TEST(RebootGuard, CounterResetAddsNothing) {
+  // Subtracting a baseline from reset counters would wrap uint64; the
+  // guard refuses and leaves the accumulators untouched.
+  const NodeSample base = sample_with_user0(1000, 10);
+  NodeSample now = sample_with_user0(5, 20);  // rebooted: 5 < 1000
+  now.totals.user[1] = 99;                    // another counter advanced
+  ModeTotals delta;
+  delta.user[0] = 500;
+  std::uint64_t quad = 6;
+  EXPECT_FALSE(add_delta_if_monotone(base, now.totals, now.quad, delta,
+                                     quad));
+  EXPECT_EQ(delta.user[0], 500u);
+  EXPECT_EQ(delta.user[1], 0u);
+  EXPECT_EQ(quad, 6u);
+}
+
+TEST(RebootGuard, QuadRegressionAloneAddsNothing) {
+  const NodeSample base = sample_with_user0(10, 100);
+  const NodeSample now = sample_with_user0(20, 50);  // quad went backwards
+  ModeTotals delta;
+  std::uint64_t quad = 0;
+  EXPECT_FALSE(add_delta_if_monotone(base, now.totals, now.quad, delta,
+                                     quad));
+  EXPECT_EQ(delta, ModeTotals{});
+  EXPECT_EQ(quad, 0u);
+}
+
+TEST(NodeSample, CheckpointRoundTrips) {
+  NodeSample s = sample_with_user0(123, 45);
+  s.totals.system[7] = 6;
+  util::CkptWriter w;
+  s.save_ckpt(w);
+  NodeSample back;
+  util::CkptReader r(w.bytes());
+  back.restore_ckpt(r);
+  r.expect_end("node sample");
+  EXPECT_EQ(back.totals, s.totals);
+  EXPECT_EQ(back.quad, s.quad);
+}
+
 TEST(ExtendedCounters, ExtendsBeyond32Bits) {
   PerformanceMonitor mon;
   ExtendedCounters ext;

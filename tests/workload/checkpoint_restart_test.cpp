@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "src/util/checksum.hpp"
 #include "src/util/ckpt.hpp"
 #include "src/workload/checkpoint.hpp"
 #include "tests/workload/campaign_fingerprint.hpp"
@@ -189,6 +190,50 @@ TEST(CheckpointRestart, CorruptNewestGenerationFallsBackWithReason) {
   EXPECT_NE(rep.rejected[0].find("checksum"), std::string::npos)
       << rep.rejected[0];
   expect_identical(reference, resumed, "resume after fallback");
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointRestart, OldGenerationMagicIsRefusedCleanly) {
+  // A generation written by the previous layout (magic P2SIMCK3, which
+  // still carried the daemon's baselines) must be refused by name, and the
+  // campaign must then run from scratch, byte-identical to a fresh run.
+  const std::string dir = fresh_dir("p2sim_ck_old_magic");
+  DriverConfig cfg = ck_config();
+  cfg.checkpoint.dir = dir;
+  const std::string reference = campaign_fingerprint(cfg, 1);
+
+  auto gens = list_checkpoints(dir);
+  ASSERT_FALSE(gens.empty());
+  for (std::size_t i = 0; i + 1 < gens.size(); ++i) {
+    fs::remove(dir + "/" + gens[i]);
+  }
+  // Plant the old magic with a header checksum that matches it, so the
+  // magic is the only thing wrong with the generation.
+  const std::string planted = dir + "/" + gens.back();
+  std::string bytes = read_file(planted);
+  ASSERT_EQ(bytes.compare(0, 8, "P2SIMCK4"), 0);
+  bytes.replace(0, 8, "P2SIMCK3");
+  const std::uint64_t header_sum =
+      util::fnv1a64(std::string_view(bytes.data(), 56));
+  for (int i = 0; i < 8; ++i) {
+    bytes[56 + static_cast<std::size_t>(i)] =
+        static_cast<char>((header_sum >> (8 * i)) & 0xFF);
+  }
+  std::ofstream(planted, std::ios::binary | std::ios::trunc) << bytes;
+
+  DriverConfig resume_cfg = ck_config();
+  resume_cfg.checkpoint.dir = dir;
+  resume_cfg.checkpoint.resume = true;
+  ResumeReport rep;
+  resume_cfg.checkpoint.report = &rep;
+  const std::string resumed = campaign_fingerprint(resume_cfg, 1);
+
+  EXPECT_TRUE(rep.attempted);
+  EXPECT_FALSE(rep.resumed);
+  ASSERT_EQ(rep.rejected.size(), 1u);
+  EXPECT_NE(rep.rejected[0].find("bad magic"), std::string::npos)
+      << rep.rejected[0];
+  expect_identical(reference, resumed, "refused old generation vs fresh run");
   fs::remove_all(dir);
 }
 
