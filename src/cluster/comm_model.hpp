@@ -13,7 +13,6 @@
 #include <cmath>
 
 #include "src/cluster/switch.hpp"
-#include "src/util/ckpt.hpp"
 
 namespace p2sim::cluster {
 
@@ -35,26 +34,6 @@ struct CommShape {
   bool synchronous = true;
   /// Overlap efficiency for asynchronous codes (fraction of comm hidden).
   double overlap = 0.6;
-
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_f64(points_per_node_ref);
-    w.put_i32(ref_nodes);
-    w.put_f64(compute_s_per_point);
-    w.put_f64(bytes_per_surface_point);
-    w.put_i32(msgs_per_exchange);
-    w.put_bool(synchronous);
-    w.put_f64(overlap);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    points_per_node_ref = r.read_f64("comm_shape.points_per_node_ref");
-    ref_nodes = r.read_i32("comm_shape.ref_nodes");
-    compute_s_per_point = r.read_f64("comm_shape.compute_s_per_point");
-    bytes_per_surface_point = r.read_f64("comm_shape.bytes_per_surface");
-    msgs_per_exchange = r.read_i32("comm_shape.msgs_per_exchange");
-    synchronous = r.read_bool("comm_shape.synchronous");
-    overlap = r.read_f64("comm_shape.overlap");
-  }
 };
 
 /// Estimates the communication-wait share of wall time when the same

@@ -21,7 +21,7 @@ std::string KernelDesc::validate() const {
   }
   for (std::size_t i = 0; i < body.size(); ++i) {
     const Instr& in = body[i];
-    // kCondReg is the last OpClass; restore_ckpt reads the byte raw.
+    // kCondReg is the last OpClass; a cast can put any byte in `op`.
     if (static_cast<std::uint8_t>(in.op) >
         static_cast<std::uint8_t>(OpClass::kCondReg)) {
       return "op outside OpClass";
@@ -161,47 +161,6 @@ KernelDesc KernelBuilder::build() {
     throw std::invalid_argument("kernel '" + k_.name + "': " + err);
   }
   return std::move(k_);
-}
-
-void KernelDesc::save_ckpt(util::CkptWriter& w) const {
-  w.put_str(name);
-  w.put_u64(streams.size());
-  for (const MemStream& s : streams) {
-    w.put_u64(s.footprint_bytes);
-    w.put_i64(s.stride_bytes);
-  }
-  w.put_u64(body.size());
-  for (const Instr& in : body) {
-    w.put_u8(static_cast<std::uint8_t>(in.op));
-    w.put_i32(in.dep);
-    w.put_i32(in.carried_dep);
-    w.put_u8(in.stream);
-    w.put_bool(in.quad);
-  }
-  w.put_u64(warmup_iters);
-  w.put_u64(measure_iters);
-  w.put_f64(icache_miss_per_kinst);
-}
-
-void KernelDesc::restore_ckpt(util::CkptReader& r) {
-  name = r.read_str("kernel.name");
-  streams.resize(static_cast<std::size_t>(r.read_u64("kernel.num_streams")));
-  for (MemStream& s : streams) {
-    s.footprint_bytes = r.read_u64("kernel.stream_footprint");
-    s.stride_bytes = r.read_i64("kernel.stream_stride");
-  }
-  body.resize(static_cast<std::size_t>(r.read_u64("kernel.body_size")));
-  for (Instr& in : body) {
-    in.op = static_cast<OpClass>(r.read_u8("kernel.instr_op"));
-    in.dep = static_cast<std::int16_t>(r.read_i32("kernel.instr_dep"));
-    in.carried_dep =
-        static_cast<std::int16_t>(r.read_i32("kernel.instr_carried"));
-    in.stream = r.read_u8("kernel.instr_stream");
-    in.quad = r.read_bool("kernel.instr_quad");
-  }
-  warmup_iters = r.read_u64("kernel.warmup_iters");
-  measure_iters = r.read_u64("kernel.measure_iters");
-  icache_miss_per_kinst = r.read_f64("kernel.icache_miss_per_kinst");
 }
 
 }  // namespace p2sim::power2

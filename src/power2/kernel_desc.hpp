@@ -14,7 +14,6 @@
 
 #include "src/check/annotate.hpp"
 #include "src/power2/isa.hpp"
-#include "src/util/ckpt.hpp"
 
 namespace p2sim::power2 {
 
@@ -71,11 +70,6 @@ struct KernelDesc {
   std::uint64_t instructions_per_iter() const { return body.size(); }
   std::uint64_t flops_per_iter() const;
   std::uint64_t memrefs_per_iter() const;  ///< quad counts as 1 instruction
-
-  /// Checkpoint support: the full structural description round-trips, so a
-  /// restored profile re-measures (or cache-hits) identically.
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
 };
 
 /// Fluent builder so kernels read like the loop they model.

@@ -1,7 +1,7 @@
 #include "src/power2/signature.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "src/check/check.hpp"
 #include "src/power2/field_table.hpp"
@@ -99,18 +99,16 @@ const EventSignature& SignatureCache::adopt(const KernelDesc& kernel,
   return it->second;
 }
 
-std::vector<KernelDesc> SignatureCache::plan_batch(
-    const std::vector<KernelDesc>& kernels) const {
-  std::vector<KernelDesc> plan;
-  std::vector<std::uint64_t> planned;
-  for (const KernelDesc& k : kernels) {
-    const std::uint64_t h = k.content_hash();
+std::vector<const KernelDesc*> SignatureCache::plan_batch(
+    const std::vector<const KernelDesc*>& kernels) const {
+  std::vector<const KernelDesc*> plan;
+  // Membership only: the plan keeps the input's order, and the set is
+  // never iterated.
+  P2SIM_ORDERED_FOLD std::unordered_set<std::uint64_t> planned;
+  for (const KernelDesc* k : kernels) {
+    const std::uint64_t h = k->content_hash();
     if (by_hash_.find(h) != by_hash_.end()) continue;
-    if (std::find(planned.begin(), planned.end(), h) != planned.end()) {
-      continue;
-    }
-    planned.push_back(h);
-    plan.push_back(k);
+    if (planned.insert(h).second) plan.push_back(k);
   }
   return plan;
 }

@@ -131,11 +131,12 @@ class SignatureCache {
 
   /// Batched measurement, step 1: the sublist of `kernels` that still
   /// needs measuring — unknown to the cache, deduplicated by content hash,
-  /// in first-appearance order.  The caller measures the plan's entries
-  /// with measure_quiet (typically in parallel) and hands each result to
+  /// in first-appearance order.  The plan points at the caller's kernels,
+  /// which must outlive it.  The caller measures the plan's entries with
+  /// measure_quiet (typically in parallel) and hands each result to
   /// adopt().
-  P2SIM_SERIAL_ONLY std::vector<KernelDesc> plan_batch(
-      const std::vector<KernelDesc>& kernels) const;
+  P2SIM_SERIAL_ONLY std::vector<const KernelDesc*> plan_batch(
+      const std::vector<const KernelDesc*>& kernels) const;
 
   /// Batched measurement, step 2: adopts `m` as the signature of `kernel`
   /// and replays its deferred kernel-run telemetry.  Adopting in the order

@@ -1,6 +1,7 @@
 #include "src/workload/checkpoint.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,7 +21,7 @@ namespace {
 
 /// Generation magic: version bumps rename the last byte, so an old binary
 /// rejects a new checkpoint with "bad magic" instead of misparsing it.
-constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '4'};
+constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '5'};
 /// Generation header: magic, config hash, resume interval, journal bytes,
 /// journal chain, payload size, payload checksum, header checksum.
 constexpr std::size_t kHeaderSize = 64;
@@ -28,7 +29,7 @@ constexpr std::size_t kHeaderChecksumOffset = 56;
 
 /// Journal header: magic, config hash.  Each frame that follows is
 /// [u64 length][u64 fnv1a64_words(payload)][payload].
-constexpr char kJournalMagic[8] = {'P', '2', 'S', 'I', 'M', 'J', 'N', '1'};
+constexpr char kJournalMagic[8] = {'P', '2', 'S', 'I', 'M', 'J', 'N', '2'};
 constexpr std::size_t kJournalHeaderSize = 16;
 constexpr std::size_t kFrameHeaderSize = 16;
 
@@ -79,6 +80,12 @@ bool write_all(int fd, std::string_view data) {
 bool read_all(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
+  // One allocation of the file's size up front: a journal of megabytes
+  // read in 64 KB appends would regrow and copy the string a dozen times.
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0) {
+    out->reserve(out->size() + static_cast<std::size_t>(st.st_size));
+  }
   char buf[1 << 16];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);

@@ -7,14 +7,18 @@
 // appended each interval's deltas once and never rewrote them:
 //
 //   * the *journal* (`journal.p2cj`, one per checkpoint directory) holds
-//     the append-only collections — interval records, job records, job
-//     profiles, signatures, trace events.  Each checkpoint appends one
-//     frame with what they gained since the previous frame, so every
-//     record is written once;
+//     the append-only collections — interval records, job records,
+//     signatures, trace events.  Each checkpoint appends one frame with
+//     what they gained since the previous frame, so every record is
+//     written once;
 //   * a *generation* (`ckpt-<interval>.p2ck`) holds only the live state
 //     plus the length of the journal prefix it stands on and a hash chain
 //     over that prefix's frame checksums.  Its size does not grow with
 //     campaign length.
+//
+// Neither carries what the config recomputes: the job stream (the master
+// stream's draws, the generator and every job profile) is rebuilt from the
+// config on resume, which the fingerprint below covers.
 //
 // This module owns both containers; the payloads are opaque streams the
 // driver's serializers produce.  Torn-write safety comes from the write

@@ -72,7 +72,7 @@ cluster::ActivityProfile WorkloadDriver::activity_for(
 /// Every piece of campaign state, constructed once per run().  The serial
 /// phases own all of it; the parallel phases touch only `lanes` (one lane
 /// per worker, statically sharded), the worker's own row of
-/// `shard_tallies`, the lanes' own `pass_busy` slots, the look-ahead
+/// `shard_tallies`, the lanes' own `pass_busy` slots, the batch
 /// measurement slots, and the immutable inputs.
 struct WorkloadDriver::CampaignState {
   /// One interval's fleet-wide probe results, merged from the shards'
@@ -91,15 +91,9 @@ struct WorkloadDriver::CampaignState {
           sc.total_nodes = cfg.num_nodes;
           return sc;
         }()),
-        gen([&] {
-          JobGenConfig gc = cfg.jobgen;
-          gc.seed ^= cfg.seed;
-          return gc;
-        }(), registry),
         signatures(cfg.core,
                    power2::SignatureStoreConfig{cfg.signature_store_path}),
         nfs(cfg.nfs),
-        rng(cfg.seed),
         inject(cfg.faults),
         down_until(static_cast<std::size_t>(cfg.num_nodes), 0),
         node_job(static_cast<std::size_t>(cfg.num_nodes), nullptr),
@@ -131,19 +125,19 @@ struct WorkloadDriver::CampaignState {
   struct JournalMarks {
     std::size_t intervals = 0;     ///< daemon interval records
     std::size_t jobs = 0;          ///< accounting job records
-    std::size_t profiles = 0;      ///< registered job profiles
-    std::size_t codes = 0;         ///< the generator's code assignments
     std::size_t signatures = 0;    ///< signature cache entries
     std::size_t trace_events = 0;  ///< settled trace events (telemetry on)
   };
 
   /// Serializes the live campaign state at an interval boundary plus the
-  /// journal marks (per-pass scratch and the worker pool are excluded: the
-  /// next pass rewrites them; the append-only collections travel in the
-  /// journal).  The restore side runs after the journal prefix has been
-  /// replayed: it checks the replayed collections against the marks,
-  /// re-resolves the profile/signature pointers and rebuilds node_job,
-  /// then demands the stream be fully consumed.
+  /// journal marks.  Only what the config cannot recompute is written: the
+  /// submission schedule and the registry are rebuilt from the config, per-
+  /// pass scratch and the worker pool are rewritten by the next pass, and
+  /// the append-only collections travel in the journal.  The restore side
+  /// runs after the journal prefix has been replayed: it checks the
+  /// replayed collections against the marks, re-resolves the profile/
+  /// signature pointers and rebuilds node_job, then demands the stream be
+  /// fully consumed.
   void save_ckpt(util::CkptWriter& w) const;
   void restore_ckpt(util::CkptReader& r);
   /// Writes one journal frame: what each append-only collection gained
@@ -166,29 +160,19 @@ struct WorkloadDriver::CampaignState {
 
   // --- substrate instances (serial-phase property) -----------------------
   pbs::Scheduler sched;
+  /// Every job profile of the campaign, registered by build_schedule
+  /// before the first pass.
   ProfileRegistry registry;
-  JobGenerator gen;
   power2::SignatureCache signatures;
   rs2hpm::SamplingDaemon daemon;
   rs2hpm::JobMonitor jobmon;
   cluster::NfsModel nfs;
 
-  /// Master RNG stream: owned by the serial arrivals phase (demand walk,
-  /// slumps, Poisson arrivals).  Never consulted per node — per-node draws
-  /// belong to the lanes' private streams.
-  util::Xoshiro256StarStar rng;
-  double demand_level = 1.0;
-  int slump_days_left = 0;
-  double slump_depth = 1.0;
-
-  /// The current day's Poisson arrival counts, drawn from the master
-  /// stream at the day's first interval (right after the demand walk, in
-  /// interval order): day_arrivals[k] is the count for interval
-  /// day * kIntervalsPerDay + k.  Intervals below arrivals_drawn_until
-  /// have had their draw taken from the stream.
-  std::vector<std::uint64_t> day_arrivals =
-      std::vector<std::uint64_t>(util::kIntervalsPerDay, 0);
-  std::int64_t arrivals_drawn_until = 0;
+  /// The submission schedule, a pure function of the config: every job
+  /// the campaign submits, in submission order.  Interval t submits
+  /// schedule[schedule_at[t]] up to schedule[schedule_at[t + 1]].
+  std::vector<pbs::JobSpec> schedule;
+  std::vector<std::size_t> schedule_at;
 
   fault::FaultInjector inject;
   /// Interval at which each crashed node reboots (node is down while
@@ -237,19 +221,17 @@ struct WorkloadDriver::CampaignState {
   double now = 0.0;
   std::int64_t day = 0;
   double grant = 0.0;
-  /// Start events of this pass, produced by scheduling and consumed (with
-  /// their measurement plan) by the measure and launch phases.
+  /// Start events of this pass, produced by scheduling and consumed by the
+  /// launch phase.
   std::vector<pbs::StartEvent> starts;
-  std::vector<power2::KernelDesc> measure_plan;
-  /// Look-ahead measurement: the arrivals phase plans the kernels of every
-  /// job the day will submit that neither the cache nor `ahead` holds; the
-  /// measure phase measures them in one parallel batch into `ahead`, keyed
-  /// by content hash.  Results enter the cache only when a launch adopts
-  /// them, so the cache, the store and the telemetry never see a kernel
-  /// earlier than on-demand measurement would have.  Not checkpointed: a
-  /// resume plans the rest of its day again, and the results are pure
-  /// functions of (core config, kernel).
-  std::vector<power2::KernelDesc> ahead_plan;
+  /// The batch's measurements not yet adopted, keyed by content hash: the
+  /// measure phase fills it with every kernel of the schedule the cache
+  /// lacks, and a scheduling pass moves a kernel into the cache when one
+  /// of its starts first needs it, so the cache, the store and the
+  /// telemetry never see a kernel earlier than on-demand measurement
+  /// would have.  Not checkpointed: a resume measures again what its
+  /// restored cache lacks, and the results are pure functions of (core
+  /// config, kernel).
   std::map<std::uint64_t, power2::QuietMeasurement> ahead;
   /// This pass's extent: intervals [horizon_first, horizon_first + horizon).
   std::int64_t horizon = 1;
@@ -273,28 +255,9 @@ struct WorkloadDriver::CampaignState {
 void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
   w.put_u64(journaled.intervals);
   w.put_u64(journaled.jobs);
-  w.put_u64(journaled.profiles);
-  w.put_u64(journaled.codes);
   w.put_u64(journaled.signatures);
   w.put_u64(journaled.trace_events);
   w.put_i64(t);
-  rng.save_ckpt(w);
-  w.put_f64(demand_level);
-  w.put_i32(slump_days_left);
-  w.put_f64(slump_depth);
-  // The day's drawn arrival counts travel with the master stream: draws
-  // already taken must not be redrawn after a resume.  Saved as the counts
-  // of [t + 1, arrivals_drawn_until), then their base and end.
-  const std::int64_t next_t = t + 1;
-  const std::int64_t day_first =
-      next_t / util::kIntervalsPerDay * util::kIntervalsPerDay;
-  const std::int64_t pending_end = std::max(next_t, arrivals_drawn_until);
-  w.put_u64(static_cast<std::uint64_t>(pending_end - next_t));
-  for (std::int64_t u = next_t; u < pending_end; ++u) {
-    w.put_u64(day_arrivals[static_cast<std::size_t>(u - day_first)]);
-  }
-  w.put_i64(next_t);
-  w.put_i64(pending_end);
   w.put_i64(jobs_dispatched);
   w.put_i64(jobs_completed);
   w.put_i64(jobs_requeued);
@@ -305,8 +268,6 @@ void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
     w.put_i32(attempt);
   }
   sched.save_ckpt(w);
-  registry.save_ckpt(w);
-  gen.save_ckpt(w);
   signatures.save_ckpt(w);
   jobmon.save_ckpt(w);
   nfs.save_ckpt(w);
@@ -349,12 +310,9 @@ WorkloadDriver::CampaignState::JournalMarks
 WorkloadDriver::CampaignState::save_journal_frame(util::CkptWriter& w) const {
   daemon.save_journal(w, journaled.intervals);
   result.jobs.save_journal(w, journaled.jobs);
-  registry.save_journal(w, journaled.profiles);
-  gen.save_journal(w, journaled.codes);  // after the profiles it names
   signatures.save_journal(w, journaled.signatures);
   JournalMarks next{daemon.records().size(), result.jobs.size(),
-                    registry.size(),         gen.code_assignments(),
-                    signatures.size(),       0};
+                    signatures.size(), 0};
   // Trace events ride in a nested blob, as in save_ckpt.
   const telemetry::Session* tel = telemetry::current();
   w.put_bool(tel != nullptr);
@@ -371,8 +329,6 @@ void WorkloadDriver::CampaignState::replay_journal_frame(
     util::CkptReader& r) {
   daemon.replay_journal(r);
   result.jobs.replay_journal(r);
-  registry.replay_journal(r);
-  gen.replay_journal(r);
   signatures.replay_journal(r);
   const bool saved_telemetry = r.read_bool("journal.has_telemetry");
   const std::string blob = r.read_str("journal.telemetry_blob");
@@ -388,42 +344,16 @@ void WorkloadDriver::CampaignState::replay_journal_frame(
 void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
   journaled.intervals = r.read_u64("campaign.journaled_intervals");
   journaled.jobs = r.read_u64("campaign.journaled_jobs");
-  journaled.profiles = r.read_u64("campaign.journaled_profiles");
-  journaled.codes = r.read_u64("campaign.journaled_codes");
   journaled.signatures = r.read_u64("campaign.journaled_signatures");
   journaled.trace_events = r.read_u64("campaign.journaled_trace_events");
   if (daemon.records().size() != journaled.intervals ||
       result.jobs.size() != journaled.jobs ||
-      registry.size() != journaled.profiles ||
-      gen.code_assignments() != journaled.codes ||
       signatures.size() != journaled.signatures) {
     throw util::CkptError(
         "campaign.journaled: the journal prefix and the generation "
         "disagree on the append-only collection sizes");
   }
   t = r.read_i64("campaign.t");
-  rng.restore_ckpt(r);
-  demand_level = r.read_f64("campaign.demand_level");
-  slump_days_left = r.read_i32("campaign.slump_days_left");
-  slump_depth = r.read_f64("campaign.slump_depth");
-  std::vector<std::uint64_t> pending(
-      static_cast<std::size_t>(r.read_u64("campaign.pending_arrivals")));
-  for (std::uint64_t& c : pending) c = r.read_u64("campaign.pending_arrival");
-  const std::int64_t pending_base = r.read_i64("campaign.pending_base");
-  arrivals_drawn_until = r.read_i64("campaign.arrivals_drawn_until");
-  if (arrivals_drawn_until - pending_base !=
-          static_cast<std::int64_t>(pending.size()) ||
-      (!pending.empty() &&
-       (pending_base / util::kIntervalsPerDay !=
-        (arrivals_drawn_until - 1) / util::kIntervalsPerDay))) {
-    throw util::CkptError("campaign.pending_arrivals: not within one day");
-  }
-  std::fill(day_arrivals.begin(), day_arrivals.end(), 0);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    day_arrivals[static_cast<std::size_t>(
-        (pending_base + static_cast<std::int64_t>(i)) %
-        util::kIntervalsPerDay)] = pending[i];
-  }
   jobs_dispatched = r.read_i64("campaign.jobs_dispatched");
   jobs_completed = r.read_i64("campaign.jobs_completed");
   jobs_requeued = r.read_i64("campaign.jobs_requeued");
@@ -437,8 +367,6 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
     attempts[id] = r.read_i32("campaign.attempt_count");
   }
   sched.restore_ckpt(r);
-  registry.restore_ckpt(r);
-  gen.restore_ckpt(r);
   signatures.restore_ckpt(r);
   jobmon.restore_ckpt(r);
   nfs.restore_ckpt(r);
@@ -467,9 +395,9 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
     rj.attempt = r.read_i32("campaign.job_attempt");
     running.emplace(rj.spec.job_id, std::move(rj));
   }
-  // Pointer re-resolution: profiles and signatures live in the restored
-  // registry/cache, so the map lookups reproduce the original pointers'
-  // referents exactly.
+  // Pointer re-resolution: profiles live in the rebuilt registry and
+  // signatures in the restored cache, so the map lookups reproduce the
+  // original pointers' referents exactly.
   for (auto& [id, rj] : running) {
     rj.profile = &registry.get(rj.spec.profile_id);
     rj.sig = &signatures.get(rj.profile->kernel);
@@ -496,14 +424,6 @@ void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
   day_span = telemetry::Span::adopt_ckpt(
       tel != nullptr ? &tel->tracer : nullptr, r);
   r.expect_end("campaign");
-}
-
-double WorkloadDriver::arrival_lambda(const CampaignState& st) const {
-  const double day_factor =
-      (util::is_weekend(st.day) ? cfg_.weekend_factor : 1.0) *
-      (st.slump_days_left > 0 ? st.slump_depth : 1.0);
-  return cfg_.jobs_per_day * day_factor * st.demand_level /
-         static_cast<double>(util::kIntervalsPerDay);
 }
 
 void WorkloadDriver::phase_day_rollover(CampaignState& st) {
@@ -562,132 +482,117 @@ void WorkloadDriver::phase_faults(CampaignState& st) {
   }
 }
 
-void WorkloadDriver::draw_day_arrivals(CampaignState& st) const {
-  const std::int64_t day_first = st.day * util::kIntervalsPerDay;
-  const std::int64_t day_end = day_first + util::kIntervalsPerDay;
-  const double lambda = arrival_lambda(st);
-  for (std::int64_t u = std::max(st.arrivals_drawn_until, day_first);
-       u < day_end; ++u) {
-    st.day_arrivals[static_cast<std::size_t>(u - day_first)] =
-        st.rng.poisson(lambda);
-  }
-  st.arrivals_drawn_until = day_end;
-}
-
-void WorkloadDriver::plan_ahead(CampaignState& st) const {
-  // Whatever is already planned, then the kernels of the rest of the day's
-  // arrivals, from this interval on.
-  std::vector<power2::KernelDesc> kernels = std::move(st.ahead_plan);
-  st.ahead_plan.clear();
-  std::vector<double> submit_times;
-  for (std::int64_t u = st.t; u < st.arrivals_drawn_until; ++u) {
-    const std::uint64_t count =
-        st.day_arrivals[static_cast<std::size_t>(u % util::kIntervalsPerDay)];
-    for (std::uint64_t a = 0; a < count; ++a) {
-      submit_times.push_back(static_cast<double>(u) * st.interval_s);
+void WorkloadDriver::build_schedule(CampaignState& st) {
+  // The arrival process is open-loop: the master stream draws only the
+  // demand walk, the slumps and the Poisson counts, and the generator
+  // depends only on its own stream and the submit time.  So the whole job
+  // stream is a pure function of the config and is drawn here, once, in
+  // the order the days would draw it.  The master stream is never
+  // consulted per node: per-node draws belong to the lanes' streams.
+  util::Xoshiro256StarStar rng(cfg_.seed);
+  JobGenConfig gc = cfg_.jobgen;
+  gc.seed ^= cfg_.seed;
+  JobGenerator gen(gc, st.registry);
+  double demand_level = 1.0;
+  int slump_days_left = 0;
+  double slump_depth = 1.0;
+  st.schedule_at.assign(static_cast<std::size_t>(st.total_intervals) + 1, 0);
+  for (std::int64_t day = 0; day < cfg_.days; ++day) {
+    // The demand process updates at day boundaries; then the day's
+    // Poisson counts are drawn in interval order at the day's intensity.
+    demand_level = std::clamp(
+        cfg_.demand_walk_rho * demand_level +
+            rng.normal(1.0 - cfg_.demand_walk_rho,
+                       cfg_.demand_walk_noise *
+                           (1.0 - cfg_.demand_walk_rho) * 4.0),
+        cfg_.demand_min, cfg_.demand_max);
+    if (slump_days_left > 0) {
+      --slump_days_left;
+    } else if (rng.chance(cfg_.slump_prob_per_day)) {
+      slump_days_left = static_cast<int>(2 + rng.below(6));
+      slump_depth = rng.uniform(cfg_.slump_depth_min, cfg_.slump_depth_max);
     }
-  }
-  for (power2::KernelDesc& k : st.gen.peek_kernels(submit_times)) {
-    kernels.push_back(std::move(k));
-  }
-  for (power2::KernelDesc& k : st.signatures.plan_batch(kernels)) {
-    if (st.ahead.find(k.content_hash()) == st.ahead.end()) {
-      st.ahead_plan.push_back(std::move(k));
+    const double day_factor =
+        (util::is_weekend(day) ? cfg_.weekend_factor : 1.0) *
+        (slump_days_left > 0 ? slump_depth : 1.0);
+    const double lambda = cfg_.jobs_per_day * day_factor * demand_level /
+                          static_cast<double>(util::kIntervalsPerDay);
+    for (std::int64_t t = day * util::kIntervalsPerDay;
+         t < (day + 1) * util::kIntervalsPerDay; ++t) {
+      const std::uint64_t arrivals = rng.poisson(lambda);
+      const double now = static_cast<double>(t) * st.interval_s;
+      for (std::uint64_t a = 0; a < arrivals; ++a) {
+        st.schedule.push_back(gen.next(now));
+      }
+      st.schedule_at[static_cast<std::size_t>(t) + 1] = st.schedule.size();
     }
   }
 }
 
 void WorkloadDriver::phase_arrivals(CampaignState& st) {
-  if (st.t % util::kIntervalsPerDay == 0) {
-    // The demand process updates at day boundaries; then the whole day's
-    // Poisson counts are drawn, in interval order — the master stream's
-    // draw sequence is the same as drawing each interval's count as it
-    // comes, because nothing else draws from it and the intensity is fixed
-    // for the day.  With the counts known, the day's job kernels are too
-    // (the generator depends only on its own stream and the submit time),
-    // so the measure phase can measure all of them in one batch.
-    st.demand_level = std::clamp(
-        cfg_.demand_walk_rho * st.demand_level +
-            st.rng.normal(1.0 - cfg_.demand_walk_rho,
-                          cfg_.demand_walk_noise *
-                              (1.0 - cfg_.demand_walk_rho) * 4.0),
-        cfg_.demand_min, cfg_.demand_max);
-    if (st.slump_days_left > 0) {
-      --st.slump_days_left;
-    } else if (st.rng.chance(cfg_.slump_prob_per_day)) {
-      st.slump_days_left = static_cast<int>(2 + st.rng.below(6));
-      st.slump_depth =
-          st.rng.uniform(cfg_.slump_depth_min, cfg_.slump_depth_max);
-    }
-    draw_day_arrivals(st);
-    plan_ahead(st);
-  }
-  const std::uint64_t arrivals =
-      st.day_arrivals[static_cast<std::size_t>(st.t % util::kIntervalsPerDay)];
-  for (std::uint64_t a = 0; a < arrivals; ++a) {
-    st.sched.submit(st.gen.next(st.now));
+  const auto t = static_cast<std::size_t>(st.t);
+  for (std::size_t i = st.schedule_at[t]; i < st.schedule_at[t + 1]; ++i) {
+    st.sched.submit(st.schedule[i]);
   }
 }
 
 void WorkloadDriver::phase_scheduling(CampaignState& st) {
   st.starts = st.sched.schedule(st.now);
-  // Plan the signature measurements these starts need (kernels unknown to
-  // the cache, deduplicated, in first-appearance order).  The plan is
-  // fixed serially so the parallel measure phase has nothing to decide.
-  std::vector<power2::KernelDesc> kernels;
+  // Adopt the starts' new kernels from the batch serially, in start order
+  // and before any prologue — where the on-demand path would have
+  // measured them — so the cache, the store and the engine-timeline
+  // telemetry cannot tell the batch happened.  The batch covered every
+  // kernel of the schedule the cache lacked, so a miss is a driver bug.
+  std::vector<const power2::KernelDesc*> kernels;
   kernels.reserve(st.starts.size());
   for (const pbs::StartEvent& ev : st.starts) {
-    kernels.push_back(st.registry.get(ev.spec.profile_id).kernel);
+    kernels.push_back(&st.registry.get(ev.spec.profile_id).kernel);
   }
-  st.measure_plan = st.signatures.plan_batch(kernels);
+  for (const power2::KernelDesc* k : st.signatures.plan_batch(kernels)) {
+    const auto it = st.ahead.find(k->content_hash());
+    P2SIM_CHECK(it != st.ahead.end(),
+                "scheduling: a start's kernel was never measured ahead");
+    st.signatures.adopt(*k, it->second);
+    st.ahead.erase(it);
+  }
 }
 
 void WorkloadDriver::phase_measure(CampaignState& st) {
-  if (!st.ahead_plan.empty()) {
-    // The look-ahead batch on worker-private cores, each result written by
-    // plan index.  Largest estimated cost first (body size x iterations),
-    // dealt round-robin to the workers: placement shapes wall time only,
-    // since a measurement is a pure function of (core config, kernel).
-    const std::vector<power2::KernelDesc>& plan = st.ahead_plan;
-    const std::size_t n = plan.size();
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    const auto cost = [&plan](std::size_t i) {
-      return plan[i].body.size() *
-             (plan[i].warmup_iters + plan[i].measure_iters);
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&cost](std::size_t a, std::size_t b) {
-                       return cost(a) > cost(b);
-                     });
-    std::vector<power2::QuietMeasurement> results(n);
-    const power2::CoreConfig& core_cfg = st.signatures.core_config();
-    const auto workers = static_cast<std::size_t>(st.pool.threads());
-    st.pool.run(workers, [&plan, &results, &order, &core_cfg, n, workers](
-                             int shard, std::size_t, std::size_t) {
-      for (auto j = static_cast<std::size_t>(shard); j < n; j += workers) {
-        results[order[j]] = power2::measure_quiet(core_cfg, plan[order[j]]);
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      st.ahead.emplace(plan[i].content_hash(), std::move(results[i]));
+  // Every kernel of the schedule the cache lacks, deduplicated, in
+  // submission order (profile ids follow it).
+  std::vector<const power2::KernelDesc*> kernels;
+  kernels.reserve(st.registry.size());
+  st.registry.for_each(
+      [&kernels](const JobProfile& p) { kernels.push_back(&p.kernel); });
+  const std::vector<const power2::KernelDesc*> plan =
+      st.signatures.plan_batch(kernels);
+  // One batch on worker-private cores, each result written by plan index.
+  // Largest estimated cost first (body size x iterations), dealt
+  // round-robin to the workers: placement shapes wall time only, since a
+  // measurement is a pure function of (core config, kernel).
+  const std::size_t n = plan.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  const auto cost = [&plan](std::size_t i) {
+    return plan[i]->body.size() *
+           (plan[i]->warmup_iters + plan[i]->measure_iters);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&cost](std::size_t a, std::size_t b) {
+                     return cost(a) > cost(b);
+                   });
+  std::vector<power2::QuietMeasurement> results(n);
+  const power2::CoreConfig& core_cfg = st.signatures.core_config();
+  const auto workers = static_cast<std::size_t>(st.pool.threads());
+  st.pool.run(workers, [&plan, &results, &order, &core_cfg, n, workers](
+                           int shard, std::size_t, std::size_t) {
+    for (auto j = static_cast<std::size_t>(shard); j < n; j += workers) {
+      results[order[j]] = power2::measure_quiet(core_cfg, *plan[order[j]]);
     }
-    st.ahead_plan.clear();
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    st.ahead.emplace(plan[i]->content_hash(), std::move(results[i]));
   }
-  // Adopt this pass's new kernels serially in start order — where the
-  // on-demand path would have measured them — so the cache, the store and
-  // the engine-timeline telemetry cannot tell the batch happened.  A
-  // kernel nobody measured ahead is measured on demand.
-  for (const power2::KernelDesc& k : st.measure_plan) {
-    const auto it = st.ahead.find(k.content_hash());
-    if (it == st.ahead.end()) {
-      st.signatures.get(k);
-      continue;
-    }
-    st.signatures.adopt(k, it->second);
-    st.ahead.erase(it);
-  }
-  st.measure_plan.clear();
 }
 
 void WorkloadDriver::phase_launch(CampaignState& st) {
@@ -726,10 +631,10 @@ void WorkloadDriver::phase_launch(CampaignState& st) {
 
 void WorkloadDriver::phase_horizon(CampaignState& st) {
   st.horizon_first = st.t;
-  // Base caps: never cross the campaign end, a day boundary (the demand
-  // walk and weekend factor change there), or a checkpoint cadence
-  // boundary (durable generations must land on pass ends, so the cadence
-  // cannot depend on how intervals batch into passes).
+  // Base caps: never cross the campaign end, a day boundary (the day-span
+  // telemetry rotates there), or a checkpoint cadence boundary (durable
+  // generations must land on pass ends, so the cadence cannot depend on
+  // how intervals batch into passes).
   std::int64_t cap =
       std::min(st.total_intervals, (st.day + 1) * util::kIntervalsPerDay) -
       st.t;
@@ -771,13 +676,10 @@ void WorkloadDriver::phase_horizon(CampaignState& st) {
       }
     }
   }
-  // Cut the pass before the next interval with arrivals (the window never
-  // crosses the day, whose counts the arrivals phase already drew).
+  // Cut the pass before the next interval with arrivals.
   for (std::int64_t u = st.t + 1; u < st.t + cap; ++u) {
-    if (st.day_arrivals[static_cast<std::size_t>(
-            u % util::kIntervalsPerDay)] > 0) {
-      cap = u - st.t;
-    }
+    const auto ui = static_cast<std::size_t>(u);
+    if (st.schedule_at[ui + 1] > st.schedule_at[ui]) cap = u - st.t;
   }
   // Whole-interval cron misses per horizon offset (pure keyed queries);
   // the lanes' probes and the collect post-pass read the same bitmap.
@@ -1119,25 +1021,12 @@ CampaignResult WorkloadDriver::run() {
         telemetry::wall_now_us() - begin_us;
   };
 
+  // One schedule and one measurement batch per run: a resume rebuilds the
+  // schedule from the config and measures what its restored cache lacks
+  // (the queued jobs' kernels and every later one).
+  timed(Phase::kArrivals, &WorkloadDriver::build_schedule);
   const std::int64_t start_t = try_resume(st);
-  if (start_t > 0) {
-    // A resume rebuilds the look-ahead the checkpoint does not carry.  It
-    // plans every registered kernel the restored cache lacks (the queued
-    // jobs', submitted before the checkpoint) and, mid-day, the rest of
-    // the day's arrivals (a day start plans them in the arrivals phase).
-    // Counts the checkpoint did not carry are drawn first, in the order
-    // the day start would have drawn them.
-    std::vector<power2::KernelDesc> kernels;
-    st.registry.for_each(
-        [&](const JobProfile& p) { kernels.push_back(p.kernel); });
-    st.ahead_plan = st.signatures.plan_batch(kernels);
-    if (start_t % util::kIntervalsPerDay != 0) {
-      st.t = start_t;
-      st.day = start_t / util::kIntervalsPerDay;
-      draw_day_arrivals(st);
-      plan_ahead(st);
-    }
-  }
+  timed(Phase::kMeasure, &WorkloadDriver::phase_measure);
 
   if (auto* tel = telemetry::current()) {
     // Wall-clock metric: the thread count shapes wall time, never results,
@@ -1162,7 +1051,6 @@ CampaignResult WorkloadDriver::run() {
     timed(Phase::kFaults, &WorkloadDriver::phase_faults);
     timed(Phase::kArrivals, &WorkloadDriver::phase_arrivals);
     timed(Phase::kScheduling, &WorkloadDriver::phase_scheduling);
-    timed(Phase::kMeasure, &WorkloadDriver::phase_measure);
     timed(Phase::kLaunch, &WorkloadDriver::phase_launch);
     timed(Phase::kHorizon, &WorkloadDriver::phase_horizon);
     timed(Phase::kNfsGrant, &WorkloadDriver::phase_nfs_grant);

@@ -6,8 +6,9 @@
 // record — and the two parallel phases touch only worker-private state,
 // sharded statically across DriverConfig::threads worker threads:
 //
-//   * `measure` runs the interval's batch of cold kernel-signature
-//     measurements on worker-private cores (plan/adopt stay serial);
+//   * `measure` runs once, before the first pass: one batch of every cold
+//     kernel the campaign's submission schedule names, measured on
+//     worker-private cores (each pass adopts its starts' results serially);
 //   * `lane-pipeline` drains each per-node lane (NodeLane: node + RNG
 //     stream + fault view + daemon probe baseline) end-to-end through the
 //     whole horizon — node advance plus the per-node daemon probe — with
@@ -165,17 +166,18 @@ class WorkloadDriver {
  public:
   /// The campaign step's phases, in execution order.  Exactly two phases
   /// (kMeasure, kLanePipeline) run on the task pool; every other phase is
-  /// serial and owns the cross-node state.  The phases through kFold run
-  /// once per *horizon* (a run of intervals proven free of cross-node
-  /// events); kEpilogues runs at the horizon's last interval and
-  /// kCollect/kObserve replay once per interval from the fold's
-  /// per-interval outputs.
+  /// serial and owns the cross-node state.  kArrivals also times the
+  /// one-off build of the submission schedule and kMeasure runs once,
+  /// both before the first pass; the other phases through kFold run once
+  /// per *horizon* (a run of intervals proven free of cross-node events);
+  /// kEpilogues runs at the horizon's last interval and kCollect/kObserve
+  /// replay once per interval from the fold's per-interval outputs.
   enum class Phase {
     kDayRollover,   ///< day-span telemetry rotation (serial)
     kFaults,        ///< reboots, crashes, kills, requeues (serial)
-    kArrivals,      ///< demand walk, day's counts + look-ahead plan (serial)
-    kScheduling,    ///< PBS pass + adoption plan of new kernels (serial)
-    kMeasure,       ///< look-ahead batch (PARALLEL) + adoption (serial)
+    kArrivals,      ///< schedule build once; submits interval's jobs (serial)
+    kScheduling,    ///< PBS pass + adoption of the starts' new kernels (serial)
+    kMeasure,       ///< the schedule's cold kernels, once (PARALLEL)
     kLaunch,        ///< job binding + prologue snapshots (serial)
     kHorizon,       ///< safe multi-interval horizon (serial)
     kNfsGrant,      ///< cluster-wide filesystem throttle (serial)
@@ -243,22 +245,20 @@ class WorkloadDriver {
   cluster::ActivityProfile activity_for(const Running& r,
                                         double disk_grant_fraction) const;
 
-  /// The demand process's Poisson intensity for the current day.
-  double arrival_lambda(const CampaignState& st) const;
-  /// Draws the current day's arrival counts not yet taken from the master
-  /// stream, in interval order, through the day's last interval.
-  P2SIM_SERIAL_ONLY void draw_day_arrivals(CampaignState& st) const;
-  /// Extends the look-ahead plan with the kernels of every job the rest of
-  /// the day will submit, keeping only kernels neither the cache nor an
-  /// earlier batch holds.  Never moves the generator, registry or stream.
-  P2SIM_SERIAL_ONLY void plan_ahead(CampaignState& st) const;
+  /// Generates the whole campaign's submission schedule from the config:
+  /// rolls the master stream day by day (demand walk, slump, then the
+  /// day's Poisson counts in interval order) and draws every arrival from
+  /// the campaign's one job generator, in interval order, into the
+  /// registry.  A fresh run and a resume build the same schedule.
+  P2SIM_SERIAL_ONLY void build_schedule(CampaignState& st);
 
   P2SIM_SERIAL_ONLY void phase_day_rollover(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_faults(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_arrivals(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_scheduling(CampaignState& st);
-  /// Parallel: measures the look-ahead batch on worker-private cores,
-  /// then adopts the scheduling pass's new kernels serially.
+  /// Parallel, once per run: measures every kernel of the schedule the
+  /// cache lacks on worker-private cores, longest first.  Results wait in
+  /// CampaignState::ahead until a scheduling pass adopts them.
   void phase_measure(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_launch(CampaignState& st);
   P2SIM_SERIAL_ONLY void phase_horizon(CampaignState& st);

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -73,46 +72,6 @@ struct JobProfile {
     }
     return comm_fraction(nodes);
   }
-
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_i64(id);
-    kernel.save_ckpt(w);
-    w.put_f64(comm_fraction_base);
-    w.put_i32(ref_nodes);
-    w.put_f64(comm_scaling_exponent);
-    w.put_f64(msg_bytes_per_s);
-    w.put_f64(disk_read_bytes_per_s);
-    w.put_f64(disk_write_bytes_per_s);
-    w.put_f64(memory_mb_per_node);
-    w.put_f64(imbalance_efficiency);
-    w.put_f64(duty_cycle);
-    w.put_f64(quality);
-    w.put_str(family);
-    w.put_bool(comm_shape.has_value());
-    if (comm_shape.has_value()) comm_shape->save_ckpt(w);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    id = r.read_i64("profile.id");
-    kernel.restore_ckpt(r);
-    comm_fraction_base = r.read_f64("profile.comm_fraction_base");
-    ref_nodes = r.read_i32("profile.ref_nodes");
-    comm_scaling_exponent = r.read_f64("profile.comm_scaling_exponent");
-    msg_bytes_per_s = r.read_f64("profile.msg_bytes_per_s");
-    disk_read_bytes_per_s = r.read_f64("profile.disk_read_bytes_per_s");
-    disk_write_bytes_per_s = r.read_f64("profile.disk_write_bytes_per_s");
-    memory_mb_per_node = r.read_f64("profile.memory_mb_per_node");
-    imbalance_efficiency = r.read_f64("profile.imbalance_efficiency");
-    duty_cycle = r.read_f64("profile.duty_cycle");
-    quality = r.read_f64("profile.quality");
-    family = r.read_str("profile.family");
-    if (r.read_bool("profile.has_comm_shape")) {
-      comm_shape.emplace();
-      comm_shape->restore_ckpt(r);
-    } else {
-      comm_shape.reset();
-    }
-  }
 };
 
 /// Owns profiles by id; the scheduler carries only the id.
@@ -133,43 +92,11 @@ class ProfileRegistry {
   }
   std::size_t size() const { return profiles_.size(); }
 
-  /// Visits every registered profile in id order (e.g. to pre-warm the
-  /// signature cache with the known kernel population).
+  /// Visits every registered profile in id order (e.g. to plan the
+  /// signature measurements of a campaign's whole job population).
   template <typename F>
   void for_each(F&& f) const {
     for (const auto& [id, profile] : profiles_) f(profile);
-  }
-
-  /// Checkpoint support: the id counter continues where it left off.
-  /// Profiles are append-only (ids only grow), so they travel in the
-  /// checkpoint journal: save_journal writes the profiles from the
-  /// `from`-th on, replay_journal appends one such section.
-  void save_ckpt(util::CkptWriter& w) const { w.put_i64(next_id_); }
-  void restore_ckpt(util::CkptReader& r) {
-    next_id_ = r.read_i64("registry.next_id");
-  }
-  void save_journal(util::CkptWriter& w, std::size_t from) const {
-    w.put_u64(from);
-    w.put_u64(profiles_.size() - from);
-    for (auto it = std::next(profiles_.begin(),
-                             static_cast<std::ptrdiff_t>(from));
-         it != profiles_.end(); ++it) {
-      it->second.save_ckpt(w);
-    }
-  }
-  void replay_journal(util::CkptReader& r) {
-    if (util::journal_section_restarts(r.read_u64("registry.profiles"),
-                                       profiles_.size(),
-                                       "registry.profiles")) {
-      profiles_.clear();
-    }
-    const std::uint64_t n = r.read_u64("registry.profiles");
-    for (std::uint64_t i = 0; i < n; ++i) {
-      JobProfile p;
-      p.restore_ckpt(r);
-      const std::int64_t id = p.id;
-      profiles_.emplace(id, std::move(p));
-    }
   }
 
  private:

@@ -175,7 +175,6 @@ pbs::JobSpec JobGenerator::next(double submit_time_s) {
   // Persistent codes: a production batch submission usually reruns its
   // user's existing application on a new configuration.
   JobProfile prof;
-  bool new_code = false;
   const auto existing = user_codes_.find(spec.user_id);
   if (!interactive && !dev_session && existing != user_codes_.end() &&
       rng_.chance(cfg_.code_reuse_prob)) {
@@ -185,7 +184,6 @@ pbs::JobSpec JobGenerator::next(double submit_time_s) {
     prof = make_profile(spec.nodes_requested, interactive);
     if (!interactive && !dev_session) {
       user_codes_.insert_or_assign(spec.user_id, prof);
-      new_code = true;
     }
   }
   if (dev_session) {
@@ -196,68 +194,7 @@ pbs::JobSpec JobGenerator::next(double submit_time_s) {
   }
   spec.memory_mb_per_node = prof.memory_mb_per_node;
   spec.profile_id = registry_->add(std::move(prof));
-  if (new_code) code_log_.emplace_back(spec.user_id, spec.profile_id);
   return spec;
-}
-
-std::vector<power2::KernelDesc> JobGenerator::peek_kernels(
-    const std::vector<double>& submit_times_s) const {
-  ProfileRegistry scratch;
-  JobGenerator ahead = *this;
-  ahead.registry_ = &scratch;
-  std::vector<power2::KernelDesc> kernels;
-  kernels.reserve(submit_times_s.size());
-  for (double t : submit_times_s) {
-    kernels.push_back(scratch.get(ahead.next(t).profile_id).kernel);
-  }
-  return kernels;
-}
-
-void JobGenerator::save_ckpt(util::CkptWriter& w) const {
-  rng_.save_ckpt(w);
-  w.put_i64(next_job_id_);
-  w.put_i32(next_user_);
-  w.put_i64(last_day_);
-  w.put_i32(episode_days_left_);
-}
-
-void JobGenerator::restore_ckpt(util::CkptReader& r) {
-  rng_.restore_ckpt(r);
-  next_job_id_ = r.read_i64("jobgen.next_job_id");
-  next_user_ = r.read_i32("jobgen.next_user");
-  last_day_ = r.read_i64("jobgen.last_day");
-  episode_days_left_ = r.read_i32("jobgen.episode_days_left");
-}
-
-void JobGenerator::save_journal(util::CkptWriter& w, std::size_t from) const {
-  w.put_u64(from);
-  w.put_u64(code_log_.size() - from);
-  for (std::size_t i = from; i < code_log_.size(); ++i) {
-    w.put_i32(code_log_[i].first);
-    w.put_i64(code_log_[i].second);
-  }
-}
-
-void JobGenerator::replay_journal(util::CkptReader& r) {
-  if (util::journal_section_restarts(r.read_u64("jobgen.codes"),
-                                     code_log_.size(), "jobgen.codes")) {
-    code_log_.clear();
-    user_codes_.clear();
-  }
-  const std::uint64_t n = r.read_u64("jobgen.codes");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::int32_t user = r.read_i32("jobgen.code_user");
-    const std::int64_t id = r.read_i64("jobgen.code_profile");
-    // A new code is exactly the profile its first job registered (add()
-    // assigns a fresh id whenever a code is reused).
-    try {
-      user_codes_.insert_or_assign(user, registry_->get(id));
-    } catch (const std::out_of_range&) {
-      throw util::CkptError(
-          "jobgen.code_profile: the journal names an unknown profile");
-    }
-    code_log_.emplace_back(user, id);
-  }
 }
 
 }  // namespace p2sim::workload

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "src/pbs/job.hpp"
@@ -85,32 +84,13 @@ class JobGenerator {
  public:
   JobGenerator(const JobGenConfig& cfg, ProfileRegistry& registry);
 
-  /// Draws the next job, submitted at `submit_time_s`.
+  /// Draws the next job, submitted at `submit_time_s`, and registers its
+  /// profile.  The job depends only on this generator's stream and the
+  /// submit time, so a campaign draws its whole job stream up front.
   pbs::JobSpec next(double submit_time_s);
-
-  /// The kernels that next() would register for submissions at each of
-  /// `submit_times_s`, in order.  A copy of this generator draws them
-  /// into a scratch registry, so neither this generator's stream nor its
-  /// registry moves: next() afterwards returns exactly the jobs peeked.
-  std::vector<power2::KernelDesc> peek_kernels(
-      const std::vector<double>& submit_times_s) const;
 
   std::int64_t jobs_generated() const { return next_job_id_ - 1; }
   const JobGenConfig& config() const { return cfg_; }
-
-  /// Checkpoint support: the RNG stream, id/user counters, episode state
-  /// and every user's sticky code round-trip, so the generated population
-  /// continues bit-identically after a resume.  save_ckpt/restore_ckpt
-  /// carry all but the codes; the codes travel in the checkpoint journal
-  /// as the append-only log of code assignments (user, profile id):
-  /// save_journal writes the assignments from the `from`-th on, and
-  /// replay_journal re-adopts them from the registry, which must already
-  /// hold the profiles they name.
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
-  void save_journal(util::CkptWriter& w, std::size_t from) const;
-  void replay_journal(util::CkptReader& r);
-  std::size_t code_assignments() const { return code_log_.size(); }
 
  private:
   JobProfile make_profile(int nodes, bool interactive);
@@ -120,16 +100,13 @@ class JobGenerator {
   void update_episode(double submit_time_s);
 
   JobGenConfig cfg_;
-  ProfileRegistry* registry_;  ///< never null; a pointer so peeks can copy
+  ProfileRegistry* registry_;  ///< never null
   util::Xoshiro256StarStar rng_;
   std::int64_t next_job_id_ = 1;
   std::int32_t next_user_ = 0;
   std::int64_t last_day_ = -1;
   int episode_days_left_ = 0;
   std::map<std::int32_t, JobProfile> user_codes_;
-  /// Every assignment to user_codes_, in order: (user, the id of the
-  /// profile its first job registered).
-  std::vector<std::pair<std::int32_t, std::int64_t>> code_log_;
 };
 
 }  // namespace p2sim::workload

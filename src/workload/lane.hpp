@@ -21,8 +21,8 @@
 //
 // RNG ownership: the lane stream is seeded from (campaign seed, node id)
 // through splitmix64 — never from the master stream, whose draw sequence
-// belongs to the serial demand/arrival phases, and never from iteration
-// order.  Any future per-node stochastic effect (OS-noise jitter, local
+// belongs to the serial schedule build, and never from iteration order.
+// Any future per-node stochastic effect (OS-noise jitter, local
 // degradation) must draw from lane.rng so that adding it, or changing the
 // thread count, perturbs nothing else.
 #pragma once

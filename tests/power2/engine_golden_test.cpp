@@ -74,10 +74,12 @@ KernelDesc mixed_kernel() {
 /// submissions, repeats included.
 std::vector<KernelDesc> job_sample() {
   workload::ProfileRegistry reg;
-  const workload::JobGenerator gen(workload::JobGenConfig{}, reg);
-  std::vector<double> times;
-  for (int i = 0; i < 60; ++i) times.push_back(1800.0 * i);
-  return gen.peek_kernels(times);
+  workload::JobGenerator gen(workload::JobGenConfig{}, reg);
+  std::vector<KernelDesc> sample;
+  for (int i = 0; i < 60; ++i) {
+    sample.push_back(reg.get(gen.next(1800.0 * i).profile_id).kernel);
+  }
+  return sample;
 }
 
 /// The exact outcome of measuring a group of kernels on fresh cores: the

@@ -139,7 +139,7 @@ TEST(Validate, ZeroMeasureItersRejected) {
 }
 
 TEST(Validate, OpOutsideOpClassRejected) {
-  // restore_ckpt reads the op byte raw; the core predecodes by op class.
+  // A cast can put any byte in `op`; the core predecodes by op class.
   KernelDesc k = tiny_kernel();
   k.body[1].op = static_cast<OpClass>(200);
   EXPECT_FALSE(k.validate().empty());

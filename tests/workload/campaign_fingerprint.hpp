@@ -68,6 +68,9 @@ inline std::string campaign_fingerprint(DriverConfig cfg, int threads,
     telemetry::ScopedSession scoped(session);
     result = run_campaign(cfg);
   }
+  // The run's one batch measured every kernel the schedule names before
+  // the first pass, resumed runs included: no launch measures on demand.
+  EXPECT_EQ(result.signature_stats.measured_on_demand, 0u);
   return fingerprint_result(result, include_telemetry ? &session : nullptr);
 }
 

@@ -194,47 +194,54 @@ TEST(CheckpointRestart, CorruptNewestGenerationFallsBackWithReason) {
 }
 
 TEST(CheckpointRestart, OldGenerationMagicIsRefusedCleanly) {
-  // A generation written by the previous layout (magic P2SIMCK3, which
-  // still carried the daemon's baselines) must be refused by name, and the
-  // campaign must then run from scratch, byte-identical to a fresh run.
-  const std::string dir = fresh_dir("p2sim_ck_old_magic");
+  // Generations written by earlier layouts must be refused by name, and
+  // the campaign must then run from scratch, byte-identical to a fresh
+  // run: P2SIMCK3 still carried the daemon's baselines, and P2SIMCK4 the
+  // master stream, the pending arrivals, the job generator and the
+  // registry's id counter, which the config now recomputes.
+  const std::string src = fresh_dir("p2sim_ck_old_magic_src");
   DriverConfig cfg = ck_config();
-  cfg.checkpoint.dir = dir;
+  cfg.checkpoint.dir = src;
   const std::string reference = campaign_fingerprint(cfg, 1);
-
-  auto gens = list_checkpoints(dir);
+  const auto gens = list_checkpoints(src);
   ASSERT_FALSE(gens.empty());
-  for (std::size_t i = 0; i + 1 < gens.size(); ++i) {
-    fs::remove(dir + "/" + gens[i]);
-  }
-  // Plant the old magic with a header checksum that matches it, so the
-  // magic is the only thing wrong with the generation.
-  const std::string planted = dir + "/" + gens.back();
-  std::string bytes = read_file(planted);
-  ASSERT_EQ(bytes.compare(0, 8, "P2SIMCK4"), 0);
-  bytes.replace(0, 8, "P2SIMCK3");
-  const std::uint64_t header_sum =
-      util::fnv1a64(std::string_view(bytes.data(), 56));
-  for (int i = 0; i < 8; ++i) {
-    bytes[56 + static_cast<std::size_t>(i)] =
-        static_cast<char>((header_sum >> (8 * i)) & 0xFF);
-  }
-  std::ofstream(planted, std::ios::binary | std::ios::trunc) << bytes;
+  const std::string current = read_file(src + "/" + gens.back());
+  ASSERT_EQ(current.compare(0, 8, "P2SIMCK5"), 0);
 
-  DriverConfig resume_cfg = ck_config();
-  resume_cfg.checkpoint.dir = dir;
-  resume_cfg.checkpoint.resume = true;
-  ResumeReport rep;
-  resume_cfg.checkpoint.report = &rep;
-  const std::string resumed = campaign_fingerprint(resume_cfg, 1);
+  for (const char* old_magic : {"P2SIMCK3", "P2SIMCK4"}) {
+    // The newest generation alone on its journal, with the old magic and
+    // a header checksum that matches it, so the magic is the only thing
+    // wrong with the generation.
+    const std::string dir = fresh_dir("p2sim_ck_old_magic");
+    fs::create_directories(dir);
+    fs::copy_file(src + "/" + kJournalFile, dir + "/" + kJournalFile);
+    std::string bytes = current;
+    bytes.replace(0, 8, old_magic);
+    const std::uint64_t header_sum =
+        util::fnv1a64(std::string_view(bytes.data(), 56));
+    for (int i = 0; i < 8; ++i) {
+      bytes[56 + static_cast<std::size_t>(i)] =
+          static_cast<char>((header_sum >> (8 * i)) & 0xFF);
+    }
+    std::ofstream(dir + "/" + gens.back(), std::ios::binary) << bytes;
 
-  EXPECT_TRUE(rep.attempted);
-  EXPECT_FALSE(rep.resumed);
-  ASSERT_EQ(rep.rejected.size(), 1u);
-  EXPECT_NE(rep.rejected[0].find("bad magic"), std::string::npos)
-      << rep.rejected[0];
-  expect_identical(reference, resumed, "refused old generation vs fresh run");
-  fs::remove_all(dir);
+    DriverConfig resume_cfg = ck_config();
+    resume_cfg.checkpoint.dir = dir;
+    resume_cfg.checkpoint.resume = true;
+    ResumeReport rep;
+    resume_cfg.checkpoint.report = &rep;
+    const std::string resumed = campaign_fingerprint(resume_cfg, 1);
+
+    EXPECT_TRUE(rep.attempted) << old_magic;
+    EXPECT_FALSE(rep.resumed) << old_magic;
+    ASSERT_EQ(rep.rejected.size(), 1u) << old_magic;
+    EXPECT_NE(rep.rejected[0].find("bad magic"), std::string::npos)
+        << old_magic << ": " << rep.rejected[0];
+    const std::string label = std::string(old_magic) + " refused vs fresh";
+    expect_identical(reference, resumed, label.c_str());
+    fs::remove_all(dir);
+  }
+  fs::remove_all(src);
 }
 
 TEST(CheckpointRestart, ConfigMismatchRejectsEveryGeneration) {

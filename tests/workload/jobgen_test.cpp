@@ -30,25 +30,6 @@ TEST(JobGen, DeterministicForSeed) {
   }
 }
 
-TEST(JobGen, PeekedKernelsAreTheOnesNextRegisters) {
-  // Submit times crossing a day boundary exercise the episode state too.
-  ProfileRegistry reg;
-  JobGenerator g(JobGenConfig{}, reg);
-  g.next(0.0);
-  std::vector<double> times;
-  for (int i = 0; i < 120; ++i) times.push_back(80000.0 + i * 900.0);
-  const std::vector<power2::KernelDesc> peeked = g.peek_kernels(times);
-  EXPECT_EQ(reg.size(), 1u);  // the peek registered nothing here
-  EXPECT_EQ(g.jobs_generated(), 1);
-  ASSERT_EQ(peeked.size(), times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    const pbs::JobSpec spec = g.next(times[i]);
-    EXPECT_EQ(reg.get(spec.profile_id).kernel.content_hash(),
-              peeked[i].content_hash())
-        << "job " << i;
-  }
-}
-
 TEST(JobGen, IdsAreSequential) {
   ProfileRegistry reg;
   JobGenerator g(JobGenConfig{}, reg);
