@@ -8,7 +8,9 @@
 // that is printed but not gated.  Every bound lives in kBounds below.
 //
 //   power2.*   the cycle-level core: a serial measure_quiet over a fixed
-//              200-kernel job sample (reported, not gated: host-dependent);
+//              200-kernel job sample (reported, not gated: host-dependent),
+//              and the share of its measured iterations whose schedule
+//              the core replayed from its memo;
 //   engine.*   Node::advance on the paper's 15-minute busy intervals, the
 //              closed-form path against the slice-by-slice reference, as
 //              the median of 51 paired per-thread CPU-time ratios;
@@ -290,16 +292,22 @@ void power2_rows(Report& rep) {
   }
   std::vector<double> ms;
   double cycles = 0.0;
+  double iterations = 0.0;
+  double replayed = 0.0;
   const auto begin = std::chrono::steady_clock::now();
   for (const power2::KernelDesc& k : sample) {
     const auto t0 = std::chrono::steady_clock::now();
-    cycles += static_cast<double>(
-        power2::measure_quiet(power2::CoreConfig{}, k).run.counts.cycles);
+    const power2::RunResult run =
+        power2::measure_quiet(power2::CoreConfig{}, k).run;
     ms.push_back(seconds_since(t0) * 1e3);
+    cycles += static_cast<double>(run.counts.cycles);
+    iterations += static_cast<double>(run.iterations);
+    replayed += static_cast<double>(run.replayed);
   }
   const double wall_s = seconds_since(begin);
   rep.report("power2.kernel_ms_p50", "ms", util::quantile(ms, 0.5));
   rep.report("power2.sim_mcycles_per_s", "Mcycles/s", cycles / 1e6 / wall_s);
+  rep.report("power2.replayed_iter_frac", "ratio", replayed / iterations);
 }
 
 // ---- engine.* --------------------------------------------------------

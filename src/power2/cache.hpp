@@ -44,17 +44,20 @@ class Cache {
   /// it inside the parallel measurement region.
   P2SIM_PAR_SAFE CacheAccess access(std::uint64_t addr, bool is_store);
 
-  // ---- Resident-line protocol (the core's inner loop) --------------------
+  // ---- Resident-line protocol (the core's memory pass) -------------------
   // The caller holds the access tick in a register: it starts from tick(),
   // adds one per access, and hands the final value back to settle(), which
   // keeps accesses() and hits() exact.  It also remembers, per stream, the
   // block its last access landed in and the slot holding that block.  An
   // access to that block is a hit on that slot (a tag is unique within its
   // set), so touch() does all the work a hit would: stamp the LRU tick and
-  // set the dirty bit.  Every other access goes through lookup(), and when
-  // a fill replaces a valid line the caller must forget every hint naming
-  // that slot.  LRU stamps are only compared in lookup()'s victim scan, so
-  // the results are exactly those of access().
+  // set the dirty bit.  The caller may defer those touches, keeping only
+  // the latest tick and whether any access was a store, provided it
+  // touch()es them in before every lookup() and before settle().  Every
+  // other access goes through lookup(), and when a fill replaces a valid
+  // line the caller must forget every hint naming that slot.  LRU stamps
+  // and dirty bits are only read in lookup()'s victim scan and eviction,
+  // so the results are exactly those of access().
 
   /// Where lookup() left a block.
   struct Placement {

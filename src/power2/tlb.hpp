@@ -28,10 +28,11 @@ class Tlb {
   /// parallel measurement region.
   P2SIM_PAR_SAFE bool access(std::uint64_t addr);
 
-  // ---- Resident-entry protocol (the core's inner loop) -------------------
+  // ---- Resident-entry protocol (the core's memory pass) ------------------
   // The same contract as Cache's resident-line protocol: the caller holds
   // the tick, touch()es the entry its stream last used when the access
-  // lands in that page, looks up every other page, forgets every hint
+  // lands in that page (or defers the latest such touch until the next
+  // lookup() or settle()), looks up every other page, forgets every hint
   // naming a slot whose valid entry lookup() replaced, and settle()s the
   // tick at the end of the run.
 

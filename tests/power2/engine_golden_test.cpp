@@ -11,8 +11,13 @@
 //
 // The expected values were recorded from the engine before its inner loop
 // was predecoded; they change only with a deliberate change to the model.
+//
+// EngineReplay checks the schedule memo differentially: trace() computes
+// every iteration's schedule, so a counted run, which replays most of
+// them, must reach the same cycles, unit picks and misses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -252,6 +257,122 @@ TEST(EngineGolden, TraceScheduleIsExact) {
   EXPECT_EQ(t.start_cycle, 0u);
   EXPECT_EQ(t.end_cycle, 867u);
   EXPECT_EQ(h, 0x8b7147974806c981ULL);
+}
+
+/// A kernel whose footprints wrap inside one D-cache block, forwards and
+/// backwards, so resident runs end at a wrap rather than a block edge.
+KernelDesc wrap_kernel() {
+  KernelBuilder b("wrap_in_block");
+  const auto up = b.stream(64, 8);
+  const auto down = b.stream(96, -16);
+  const auto far = b.stream(1024 * 1024, 136);
+  const auto l0 = b.load(up);
+  const auto l1 = b.load(down);
+  b.load(far);
+  const auto m = b.fma(l0, 3);
+  b.fp_add(m, 4);
+  b.fp_mul(l1);
+  b.store(up);
+  b.alu();
+  return b.warmup(0).measure(700).build();
+}
+
+/// A kernel whose first instruction consumes the previous iteration's
+/// last load.  That load misses now and then, and the unit free times do
+/// not pin down when its result is ready, so a memo key without the
+/// loop-carried slot replays the wrong schedule.
+KernelDesc carried_kernel() {
+  KernelBuilder b("carried_load");
+  const auto big = b.stream(4 * 1024 * 1024, 8);
+  const auto cold = b.stream(64 * 1024, 264);
+  b.fp_add(kNoDep, /*carried=*/2);
+  b.load(cold);
+  b.load(big);
+  b.alu();
+  b.fp_mul();
+  return b.warmup(0).measure(1000).build();
+}
+
+/// A kernel whose FP ops issue before a load that misses every iteration
+/// (with no TLB miss, so the memo serves it): both FPU free times fall
+/// behind the next dispatch cycle by different amounts, and under
+/// kEarliestFree that difference still picks the unit.
+KernelDesc idle_fpu_kernel() {
+  KernelBuilder b("idle_fpu");
+  const auto wide = b.stream(1024 * 1024, 264);
+  b.fp_add();
+  b.fp_div();
+  b.load(wide);
+  b.alu();
+  return b.warmup(0).measure(1000).build();
+}
+
+/// What a counted run and a trace of the same iterations must agree on.
+struct Outcome {
+  std::uint64_t cycles = 0;
+  std::uint64_t fxu1 = 0;
+  std::uint64_t fpu1 = 0;
+  std::uint64_t dcache_miss = 0;
+  std::uint64_t tlb_miss = 0;
+  bool operator==(const Outcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Outcome& o) {
+  return os << "{cycles " << o.cycles << ", fxu1 " << o.fxu1 << ", fpu1 "
+            << o.fpu1 << ", dmiss " << o.dcache_miss << ", tlbmiss "
+            << o.tlb_miss << "}";
+}
+
+/// Runs `kernel` without warmup on a fresh core, counted and traced, and
+/// expects the same outcome; returns the counted run's replayed iterations.
+std::uint64_t expect_replay_exact(const CoreConfig& cfg, KernelDesc kernel) {
+  kernel.warmup_iters = 0;
+  const std::uint64_t iters = std::min<std::uint64_t>(kernel.measure_iters,
+                                                      2048);
+  Power2Core counted(cfg);
+  const RunResult r = counted.run_counted(kernel, iters);
+  const Outcome got{r.counts.cycles, r.counts.fxu1_inst, r.counts.fpu1_inst,
+                    r.counts.dcache_miss, r.counts.tlb_miss};
+
+  Power2Core traced(cfg);
+  const IssueTrace t = traced.trace(kernel, static_cast<std::uint32_t>(iters));
+  Outcome want{t.end_cycle - t.start_cycle, 0, 0, 0, 0};
+  for (const IssueEvent& e : t.events) {
+    if (is_fixed_point(e.op)) {
+      want.fxu1 += e.unit;
+    } else if (is_floating_point(e.op)) {
+      want.fpu1 += e.unit;
+    }
+    want.dcache_miss += e.dcache_miss ? 1 : 0;
+    want.tlb_miss += e.tlb_miss ? 1 : 0;
+  }
+  EXPECT_EQ(got, want) << kernel.name;
+  EXPECT_LE(r.replayed, iters) << kernel.name;
+  return r.replayed;
+}
+
+class EngineReplay : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineReplay, CountedRunMatchesTrace) {
+  const CoreConfig cfg = config_for(GetParam());
+  std::vector<KernelDesc> kernels = job_sample();
+  kernels.push_back(mixed_kernel());
+  kernels.push_back(wrap_kernel());
+  kernels.push_back(carried_kernel());
+  std::uint64_t replayed = 0;
+  for (const KernelDesc& k : kernels) {
+    replayed += expect_replay_exact(cfg, k);
+  }
+  EXPECT_GT(replayed, 0u) << config_name(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, EngineReplay, ::testing::Range(0, kConfigs));
+
+TEST(EngineReplay, EarliestFreeComparesRawFpuTimes) {
+  CoreConfig cfg;
+  cfg.fpu_steering = FpuSteering::kEarliestFree;
+  EXPECT_GT(expect_replay_exact(cfg, idle_fpu_kernel()), 0u);
+  EXPECT_GT(expect_replay_exact(cfg, wrap_kernel()), 0u);
 }
 
 }  // namespace

@@ -199,9 +199,19 @@ TEST(MeasureAhead, MidDayResumeRebuildsTheLookAhead) {
 
 TEST(MeasureAhead, FaultedCampaignIsUnchanged) {
   // Kills and requeues relaunch jobs whose kernels are already cached; the
-  // batch must neither re-measure them nor move a record.
-  const AheadRun serial = run_cold(faulted_config(), 1, "faulted_t1");
-  const AheadRun par = run_cold(faulted_config(), 4, "faulted_t4");
+  // batch must neither re-measure them nor move a record.  The reference
+  // outage profile alone kills no job in 6 days on 16 nodes, so node
+  // crashes come far more often here.
+  DriverConfig cfg = faulted_config();
+  cfg.faults.node_crashes_per_node_day = 0.5;
+  const AheadRun serial = run_cold(cfg, 1, "faulted_t1");
+  std::map<std::int64_t, int> runs;  // records per job id
+  for (const pbs::JobRecord& rec : serial.jobs) ++runs[rec.spec.job_id];
+  int requeued = 0;
+  for (const auto& [id, n] : runs) requeued += n > 1 ? 1 : 0;
+  EXPECT_GT(requeued, 0) << "no job was killed and requeued";
+
+  const AheadRun par = run_cold(cfg, 4, "faulted_t4");
   expect_identical(serial.fingerprint, par.fingerprint, "faulted threads=4");
   EXPECT_EQ(serial.store, par.store);
   EXPECT_EQ(serial.stats.measured_on_demand, 0u);
@@ -212,10 +222,10 @@ TEST(MeasureAhead, FaultedCampaignIsUnchanged) {
     std::ofstream out(store, std::ios::binary);
     out << serial.store;
   }
-  DriverConfig warm = faulted_config();
+  DriverConfig warm = cfg;
   warm.signature_store_path = store;
-  const std::string cold_records = campaign_fingerprint(
-      faulted_config(), 1, /*include_telemetry=*/false);
+  const std::string cold_records =
+      campaign_fingerprint(cfg, 1, /*include_telemetry=*/false);
   expect_identical(cold_records,
                    campaign_fingerprint(warm, 4, /*include_telemetry=*/false),
                    "faulted warm store vs cold");
