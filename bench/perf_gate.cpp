@@ -13,7 +13,9 @@
 //              the core replayed from its memo;
 //   engine.*   Node::advance on the paper's 15-minute busy intervals, the
 //              closed-form path against the slice-by-slice reference, as
-//              the median of 51 paired per-thread CPU-time ratios;
+//              the median of 51 paired per-thread CPU-time ratios, on a
+//              paging profile; and the fast path alone (reported) on a
+//              busy interval without paging and on an idle one;
 //   campaign.* the 144-node campaign once on the reference path and once on
 //              the fast path at each of 1, 2, 4 and 8 threads, archive on:
 //              Table 2 and the archive bytes must match across all five;
@@ -33,10 +35,17 @@
 // Observed spread of the timed rows, min–max over 20 consecutive 2-day
 // and 5 consecutive 12-day runs of a Release build on a shared 4-core
 // x86-64 host:
-//   engine.speedup            5.03–5.43 and 5.15–5.35 (gate >= 5); the
-//                             best-of-5 wall-clock rounds it replaced read
-//                             5.04–6.21 over 11 runs on the same host,
-//                             and 4.61–5.66 over 17 earlier runs
+//   engine.speedup            5.03–5.43 and 5.15–5.35 (gate >= 5) while the
+//                             fast path replayed every slice's carried
+//                             state in floating point (40 more 12-day runs
+//                             of that build in two sets of 20: 4.27–5.61,
+//                             median 5.38, one exit 1, and 5.03–5.61,
+//                             median 5.44); 7.29–7.96, median 7.51, over
+//                             20 12-day runs interleaved with the second
+//                             set, once the integer carry replay landed;
+//                             the best-of-5 wall-clock rounds it replaced
+//                             read 5.04–6.21 over 11 runs on the same
+//                             host, and 4.61–5.66 over 17 earlier runs
 //   archive.scan_mrows_per_s  81–116 and 95–136 (gate >= 36)
 //   archive.load_speedup      6.0–8.2 and 6.9–8.6 (gate >= 5)
 //   campaign.speedup_t8       withheld on that host
@@ -352,6 +361,29 @@ void engine_rows(Report& rep) {
   rep.report("engine.reference_intervals_per_s", "1/s", kBatch / p.a_s);
   rep.report("engine.fast_intervals_per_s", "1/s", kBatch / p.b_s);
   rep.gate("engine.speedup", p.ratio);
+
+  // The node-intervals most of a campaign runs, on the fast path alone: a
+  // busy one without paging and an idle one (the median of 11 timings).
+  const auto intervals_per_s = [&](auto&& advance) {
+    std::vector<double> s;
+    for (int i = 0; i < 11; ++i) {
+      s.push_back(cpu_seconds_per_call(
+          [&] {
+            for (int k = 0; k < kBatch; ++k) advance();
+          },
+          0.008));
+    }
+    return kBatch / util::quantile(s, 0.5);
+  };
+  cluster::ActivityProfile no_paging = act;
+  no_paging.page_faults_per_s = 0.0;
+  cluster::Node busy_node(2);
+  cluster::Node idle_node(3);
+  rep.report("engine.fast_busy_intervals_per_s", "1/s", intervals_per_s([&] {
+               busy_node.advance(900.0, &sig, no_paging);
+             }));
+  rep.report("engine.fast_idle_intervals_per_s", "1/s",
+             intervals_per_s([&] { idle_node.advance_idle(900.0); }));
 
   power2::SignatureCache cache;
   std::vector<power2::KernelDesc> kernels;

@@ -7,9 +7,12 @@
 // accounting conserves bytes exactly.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "src/check/annotate.hpp"
+#include "src/cluster/carry_chain.hpp"
 #include "src/util/ckpt.hpp"
 
 namespace p2sim::cluster {
@@ -31,7 +34,16 @@ class DmaEngine {
 
   /// `reads` = bytes leaving memory (sends, disk writes);
   /// `writes` = bytes entering memory (receives, disk reads).
-  P2SIM_PAR_SAFE void transfer(double read_bytes, double write_bytes);
+  P2SIM_PAR_SAFE void transfer(double read_bytes, double write_bytes) {
+    if (read_bytes > 0.0) {
+      pending_read_bytes_ += read_bytes;
+      total_read_bytes_ += read_bytes;
+    }
+    if (write_bytes > 0.0) {
+      pending_write_bytes_ += write_bytes;
+      total_write_bytes_ += write_bytes;
+    }
+  }
 
   /// Transfers completed since the last harvest; the caller feeds these to
   /// the performance monitor and the engine keeps only sub-transfer
@@ -40,15 +52,57 @@ class DmaEngine {
     std::uint64_t read_transfers = 0;
     std::uint64_t write_transfers = 0;
   };
-  P2SIM_PAR_SAFE Harvest harvest();
+  P2SIM_PAR_SAFE Harvest harvest() {
+    const double per = cfg_.avg_transfer_bytes();
+    return {take_transfers(pending_read_bytes_, per),
+            take_transfers(pending_write_bytes_, per)};
+  }
+
+  /// `slices` repeats of {transfer(page_bytes, page_bytes);
+  /// transfer(read_bytes, write_bytes); harvest()}, returning the summed
+  /// harvest.  The pending bytes are replayed exactly in integers
+  /// (CarryChain, m = bytes per transfer) and the lifetime totals are
+  /// added slice by slice, as transfer() adds them.  Returns nullopt,
+  /// changing nothing, when a pending-byte chain is off its grid or the
+  /// run is longer than CarryChain::kMaxSlices.
+  P2SIM_PAR_SAFE std::optional<Harvest> replay(std::uint64_t slices,
+                                               double page_bytes,
+                                               double read_bytes,
+                                               double write_bytes) {
+    if (slices > CarryChain::kMaxSlices) return std::nullopt;
+    // transfer() skips an add that is not positive; a chain adds 0.
+    const auto positive = [](double v) { return v > 0.0 ? v : 0.0; };
+    const double per = cfg_.avg_transfer_bytes();
+    CarryChain read(pending_read_bytes_, positive(page_bytes),
+                    positive(read_bytes), per);
+    CarryChain write(pending_write_bytes_, positive(page_bytes),
+                     positive(write_bytes), per);
+    if (!(read.exact() && write.exact())) return std::nullopt;
+    const Harvest h{read.take(slices), write.take(slices)};
+    pending_read_bytes_ = read.residual();
+    pending_write_bytes_ = write.residual();
+    for (std::uint64_t i = 0; i < slices; ++i) {
+      if (page_bytes > 0.0) {
+        total_read_bytes_ += page_bytes;
+        total_write_bytes_ += page_bytes;
+      }
+      if (read_bytes > 0.0) total_read_bytes_ += read_bytes;
+      if (write_bytes > 0.0) total_write_bytes_ += write_bytes;
+    }
+    return h;
+  }
 
   double total_read_bytes() const { return total_read_bytes_; }
   double total_write_bytes() const { return total_write_bytes_; }
   /// Sub-transfer residuals awaiting harvest (equivalence tests compare
   /// these byte-for-byte between accrual paths).
-  double pending_read_bytes() const { return pending_read_bytes_; }
-  double pending_write_bytes() const { return pending_write_bytes_; }
-  const DmaConfig& config() const { return cfg_; }
+  P2SIM_PAR_SAFE double pending_read_bytes() const {
+    return pending_read_bytes_;
+  }
+  P2SIM_PAR_SAFE double pending_write_bytes() const {
+    return pending_write_bytes_;
+  }
+  P2SIM_PAR_SAFE const DmaConfig& config() const { return cfg_; }
 
   /// Checkpoint support: residuals and lifetime totals round-trip exactly.
   void save_ckpt(util::CkptWriter& w) const {
@@ -65,6 +119,17 @@ class DmaEngine {
   }
 
  private:
+  /// Whole transfers in `pending`, leaving the sub-transfer residual.  A
+  /// residual below one transfer skips the divide: p < per implies
+  /// fl(p / per) < 1, so the floor would be 0 anyway.
+  P2SIM_PAR_SAFE static std::uint64_t take_transfers(double& pending,
+                                                     double per) {
+    if (pending < per) return 0;
+    const double n = std::floor(pending / per);
+    pending -= n * per;
+    return static_cast<std::uint64_t>(n);
+  }
+
   DmaConfig cfg_;
   double pending_read_bytes_ = 0.0;
   double pending_write_bytes_ = 0.0;

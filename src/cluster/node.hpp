@@ -142,6 +142,31 @@ class Node {
   }
 
  private:
+  /// Lets the equivalence tests check which arm of replay_full_slices a
+  /// node-interval takes; the fallback is exact, so no output shows it.
+  friend struct NodeTestPeer;
+
+  /// What one slice of `advance` adds to each carried quantity: the three
+  /// fault residuals and the page bytes (all zero without paging), the
+  /// two OS-noise residuals, and the DMA read and write traffic.
+  struct SliceAdds {
+    double fault_fxu = 0.0;
+    double fault_icu = 0.0;
+    double fault_cycles = 0.0;
+    double page_bytes = 0.0;
+    double noise_fxu = 0.0;
+    double noise_icu = 0.0;
+    double read_bytes = 0.0;
+    double write_bytes = 0.0;
+  };
+  P2SIM_PAR_SAFE SliceAdds slice_adds(double seconds, bool busy,
+                                      const ActivityProfile& profile) const;
+  P2SIM_PAR_SAFE bool replay_full_slices(std::uint64_t slices,
+                                         const SliceAdds& adds,
+                                         power2::EventCounts& sys,
+                                         std::uint64_t& io_read,
+                                         std::uint64_t& io_write);
+
   P2SIM_PAR_SAFE void apply_slice(double seconds,
                                   const power2::EventSignature* sig,
                                   const ActivityProfile& profile);

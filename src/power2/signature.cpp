@@ -26,8 +26,14 @@ P2SIM_PAR_SAFE EventSignature signature_from_run(const RunResult& r) {
   return s;
 }
 
+/// llround for x > 0, kept inline: truncate, then round up when the
+/// fraction x - trunc(x) (exact below 2^63) is at least one half.  NaN and
+/// x >= 2^63, where the truncation is undefined, keep the libm call.
 P2SIM_PAR_SAFE std::uint64_t rounded(double x) {
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(x));
+  if (x <= 0.0) return 0;
+  if (!(x < 0x1p63)) return static_cast<std::uint64_t>(std::llround(x));
+  const auto whole = static_cast<std::uint64_t>(x);
+  return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
 }
 
 }  // namespace

@@ -55,8 +55,9 @@ struct EventSignature {
   }
 
   /// Scales the signature to event totals over `cycles` busy cycles.
-  /// Each field rounds independently via llround; the result for a given
-  /// (signature, cycles) pair is deterministic and platform-stable.
+  /// Each field rounds independently, half away from zero as std::llround
+  /// does; the result for a given (signature, cycles) pair is
+  /// deterministic and platform-stable.
   P2SIM_PAR_SAFE EventCounts scale(double cycles) const;
 
   /// Accumulating form: adds the scaled totals for `cycles` busy cycles

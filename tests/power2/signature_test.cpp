@@ -1,8 +1,14 @@
 #include "src/power2/signature.hpp"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/power2/kernel_desc.hpp"
+#include "src/util/rng.hpp"
 
 namespace p2sim::power2 {
 namespace {
@@ -63,6 +69,50 @@ TEST(Signature, ScaleZeroOrNegativeIsEmpty) {
   s.fp_add0 = 1.0;
   EXPECT_EQ(s.scale(0.0), EventCounts{});
   EXPECT_EQ(s.scale(-5.0), EventCounts{});
+}
+
+// scale() rounds each count inline; it must agree with std::llround (round
+// half away from zero) on every positive value, ties and the values just
+// below them included.  A rate of exactly 1 makes a field's product the
+// cycle count itself, so `cycles` and `fxu0_inst` both show the rounding.
+void expect_llround(const EventSignature& unit, double x) {
+  const auto want = static_cast<std::uint64_t>(std::llround(x));
+  const EventCounts ev = unit.scale(x);
+  ASSERT_EQ(ev.cycles, want) << std::hexfloat << x;
+  ASSERT_EQ(ev.fxu0_inst, want) << std::hexfloat << x;
+}
+
+TEST(Signature, ScaleRoundsExactlyAsLlround) {
+  EventSignature unit;
+  unit.fxu0_inst = 1.0;
+  for (double x : {0.5, std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0),
+                   1.5, 2.5, 3.5, std::nextafter(2.5, 0.0), 0x1p52 - 0.5,
+                   0x1p52 + 0.5, 0x1p52 - 1.5, 0x1p52 + 1.0, 0x1p53,
+                   0x1p53 + 2.0, 0x1p53 - 1.0, 0x1p62,
+                   std::nextafter(0x1p62, 0.0), std::nextafter(0x1p62, 0x1p63),
+                   0x1p62 + 0x1p40,
+                   std::nextafter(0x1p63, 0.0), 4294967295.5,
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min()}) {
+    expect_llround(unit, x);
+  }
+  util::Xoshiro256StarStar rng(0x11D0);
+  for (int i = 0; i < 3'000'000; ++i) {
+    double x = 0.0;
+    switch (i % 3) {
+      case 0:  // uniform over the counts a slice produces
+        x = rng.uniform(0.0, 4294967296.0);
+        break;
+      case 1:  // any bit pattern between 2^-60 and 2^63
+        x = std::bit_cast<double>(((963 + rng.below(123)) << 52) |
+                                  (rng.next() >> 12));
+        break;
+      default:  // exact halves
+        x = static_cast<double>(rng.below(std::uint64_t{1} << 52)) + 0.5;
+        break;
+    }
+    expect_llround(unit, x);
+  }
 }
 
 TEST(Signature, ScaleRoundTripApproximatesRun) {
