@@ -21,15 +21,15 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <type_traits>
+#include <string_view>
 #include <vector>
 
+#include "examples/campaign_cli.hpp"
 #include "src/analysis/record_io.hpp"
 #include "src/archive/convert.hpp"
 #include "src/archive/query.hpp"
 #include "src/archive/reader.hpp"
 #include "src/archive/writer.hpp"
-#include "src/util/numfmt.hpp"
 
 namespace {
 
@@ -169,51 +169,26 @@ int main(int argc, char** argv) {
   std::vector<std::string> archives;
   std::vector<std::string> text_bases;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Numeric flags parse the whole value; "abc" or "3x" is a usage error.
-    auto number = [&](auto& out) {
-      const auto v = p2sim::util::parse_number<
-          std::remove_reference_t<decltype(out)>>(argv[++i]);
-      if (!v) {
-        std::fprintf(stderr, "bad value for %s: '%s'\n%s", arg.c_str(),
-                     argv[i], kUsage);
-        std::exit(2);
-      }
-      out = *v;
-    };
-    if (arg == "--top" && i + 1 < argc) {
-      number(top_n);
-    } else if (arg == "--nodes" && i + 1 < argc) {
-      number(nodes);
-    } else if (arg == "--threshold" && i + 1 < argc) {
-      number(threshold);
-    } else if (arg == "--max" && i + 1 < argc) {
-      number(max_rows);
-    } else if (arg == "--column" && i + 1 < argc) {
-      column = argv[++i];
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--intervals" && i + 1 < argc) {
-      intervals_path = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs_path = argv[++i];
-    } else if (arg == "--from-text" && i + 1 < argc) {
-      text_bases.push_back(argv[++i]);
-    } else if (arg == "--strict") {
-      strict = true;
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--help") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option '%s'\n%s", arg.c_str(), kUsage);
-      return 2;
-    } else {
-      archives.push_back(arg);
-    }
-  }
+  p2sim::cli::Args args(argc - 1, argv + 1, kUsage);
+  p2sim::cli::parse_args(
+      args,
+      {{"--top", [&] { args.number(top_n); }},
+       {"--nodes", [&] { args.number(nodes); }},
+       {"--threshold", [&] { args.number(threshold); }},
+       {"--max", [&] { args.number(max_rows); }},
+       {"--column", [&] { column = args.value(); }},
+       {"--out", [&] { out_path = args.value(); }},
+       {"--intervals", [&] { intervals_path = args.value(); }},
+       {"--jobs", [&] { jobs_path = args.value(); }},
+       {"--from-text", [&] { text_bases.emplace_back(args.value()); }},
+       {"--strict", [&] { strict = true; }},
+       {"--stats", [&] { stats = true; }}},
+      [&](std::string_view arg) {
+        if (arg.starts_with('-')) {
+          args.fail("unknown option '" + std::string(arg) + "'");
+        }
+        archives.emplace_back(arg);
+      });
 
   try {
     if (command == "import-text") {

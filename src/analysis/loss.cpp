@@ -119,4 +119,26 @@ std::string format_measurement_loss(const MeasurementLoss& loss) {
   return os.str();
 }
 
+std::vector<std::string> reconcile_live(const telemetry::HealthSnapshot& live,
+                                        const MeasurementLoss& loss) {
+  std::vector<std::string> mismatched;
+  const auto check = [&](bool agree, const char* field) {
+    if (!agree) mismatched.emplace_back(field);
+  };
+  check(live.intervals_seen == loss.intervals_expected, "intervals_seen");
+  check(live.intervals_recorded == loss.intervals_recorded,
+        "intervals_recorded");
+  check(live.node_samples_expected == loss.node_samples_expected,
+        "node_samples_expected");
+  check(live.node_samples_clean == loss.node_samples_clean,
+        "node_samples_clean");
+  check(live.node_samples_reprimed == loss.node_samples_reprimed,
+        "node_samples_reprimed");
+  check(live.faults_injected == loss.injected.total_faults(),
+        "faults_injected");
+  check(live.jobs_requeued == loss.injected.jobs_requeued, "jobs_requeued");
+  check(loss.reconciled(), "loss.reconciled");
+  return mismatched;
+}
+
 }  // namespace p2sim::analysis

@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/fault/fault.hpp"
+#include "src/telemetry/reporter.hpp"
 #include "src/workload/driver.hpp"
 
 namespace p2sim::analysis {
@@ -72,5 +74,13 @@ MeasurementLoss measure_loss(const workload::CampaignResult& result,
 
 /// Human-readable rendering, one channel per block.
 std::string format_measurement_loss(const MeasurementLoss& loss);
+
+/// Reconciles the live view of a campaign (a HealthReporter's running
+/// totals) against its post-hoc report.  Returns the names of the fields
+/// that disagree — empty when the two agree to the last node-sample — and
+/// "loss.reconciled" when the report itself does not reconcile against
+/// the injector's log.
+std::vector<std::string> reconcile_live(const telemetry::HealthSnapshot& live,
+                                        const MeasurementLoss& loss);
 
 }  // namespace p2sim::analysis

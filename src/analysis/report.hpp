@@ -3,7 +3,7 @@
 // Assembles everything the repository reproduces into one formatted text
 // document — the deliverable NAS system personnel would have circulated:
 // campaign summary, monthly breakdown, Tables 2-4, figure summaries, the
-// trend analysis and the per-user accounting.  `examples/sp2_report`
+// trend analysis and the per-user accounting.  `run_experiment --outdir`
 // writes it to disk.
 #pragma once
 

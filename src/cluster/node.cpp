@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "src/check/check.hpp"
 #include "src/cluster/carry_chain.hpp"
@@ -28,6 +29,17 @@ Node::Node(int id, const NodeConfig& cfg)
     throw std::invalid_argument(
         "max_sample_slice_s must keep the cycle counter below one wrap");
   }
+  // A negative or non-finite cost or rate would drive a residual negative,
+  // and take_whole cannot convert a negative count.
+  for (const double v : {cfg_.fault_fxu_inst, cfg_.fault_icu_inst,
+                         cfg_.fault_cycles, cfg_.page_bytes,
+                         cfg_.os_noise_fxu_per_s, cfg_.os_noise_icu_per_s}) {
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      throw std::invalid_argument(
+          "node fault costs, page bytes and noise rates must be finite and "
+          ">= 0");
+    }
+  }
   ext_.attach(monitor_);
 }
 
@@ -47,6 +59,28 @@ void Node::crash() {
 }
 
 void Node::reboot() { up_ = true; }
+
+void Node::restore_ckpt(util::CkptReader& r) {
+  monitor_.restore_ckpt(r);
+  ext_.restore_ckpt(r);
+  dma_.restore_ckpt(r);
+  quad_total_ = r.read_u64("node.quad_total");
+  busy_seconds_ = r.read_f64("node.busy_seconds");
+  up_ = r.read_bool("node.up");
+  const auto residual = [&r](const char* what) {
+    const double v = r.read_f64(what);
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      throw util::CkptError(std::string(what) +
+                            ": negative or non-finite residual");
+    }
+    return v;
+  };
+  resid_fault_fxu_ = residual("node.resid_fault_fxu");
+  resid_fault_icu_ = residual("node.resid_fault_icu");
+  resid_fault_cycles_ = residual("node.resid_fault_cycles");
+  resid_noise_fxu_ = residual("node.resid_noise_fxu");
+  resid_noise_icu_ = residual("node.resid_noise_icu");
+}
 
 void Node::advance(double seconds, const power2::EventSignature* sig,
                    const ActivityProfile& profile) {

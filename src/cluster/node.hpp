@@ -47,6 +47,7 @@ struct NodeConfig {
   DmaConfig dma{};
   /// System-mode costs per page fault (kept here so the node can convert a
   /// fault rate into counter events without knowing the paging model).
+  /// These, page_bytes and the noise rates must be finite and >= 0.
   double fault_fxu_inst = 55000.0;
   double fault_icu_inst = 13000.0;
   double fault_cycles = 130000.0;
@@ -127,19 +128,8 @@ class Node {
     w.put_f64(resid_noise_fxu_);
     w.put_f64(resid_noise_icu_);
   }
-  void restore_ckpt(util::CkptReader& r) {
-    monitor_.restore_ckpt(r);
-    ext_.restore_ckpt(r);
-    dma_.restore_ckpt(r);
-    quad_total_ = r.read_u64("node.quad_total");
-    busy_seconds_ = r.read_f64("node.busy_seconds");
-    up_ = r.read_bool("node.up");
-    resid_fault_fxu_ = r.read_f64("node.resid_fault_fxu");
-    resid_fault_icu_ = r.read_f64("node.resid_fault_icu");
-    resid_fault_cycles_ = r.read_f64("node.resid_fault_cycles");
-    resid_noise_fxu_ = r.read_f64("node.resid_noise_fxu");
-    resid_noise_icu_ = r.read_f64("node.resid_noise_icu");
-  }
+  /// Throws util::CkptError on a negative or non-finite residual.
+  void restore_ckpt(util::CkptReader& r);
 
  private:
   /// Lets the equivalence tests check which arm of replay_full_slices a

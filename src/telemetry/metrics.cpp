@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -401,7 +402,18 @@ void Registry::save_ckpt(util::CkptWriter& w) const {
 void Registry::restore_ckpt(util::CkptReader& r) {
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
-    entries_.clear();
+    // Retire the simulated-time entries instead of destroying them, so a
+    // concurrent scrape and every reference a registration returned stay
+    // valid; wall-clock entries describe this process, not the campaign,
+    // and stay registered with their values.
+    std::map<std::string, Entry, std::less<>> live;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      const auto next = std::next(it);
+      if (it->second.wall_clock) live.insert(entries_.extract(it));
+      it = next;
+    }
+    retired_entries_.push_back(std::move(entries_));
+    entries_ = std::move(live);
     republish();
   }
   std::uint64_t n = r.read_u64("registry.entries");
@@ -414,18 +426,28 @@ void Registry::restore_ckpt(util::CkptReader& r) {
     const MetricKind kind = static_cast<MetricKind>(raw_kind);
     const std::string help = r.read_str("registry.help");
     const bool wall = r.read_bool("registry.wall_clock");
+    // A wall-clock metric this process already has keeps its own value.
+    const bool keep = wall && contains(name);
     switch (kind) {
-      case MetricKind::kCounter:
-        counter(name, help, wall).inc(r.read_u64("registry.counter_value"));
+      case MetricKind::kCounter: {
+        const std::uint64_t v = r.read_u64("registry.counter_value");
+        if (!keep) counter(name, help, wall).inc(v);
         break;
-      case MetricKind::kGauge:
-        gauge(name, help, wall).set(r.read_f64("registry.gauge_value"));
+      }
+      case MetricKind::kGauge: {
+        const double v = r.read_f64("registry.gauge_value");
+        if (!keep) gauge(name, help, wall).set(v);
         break;
+      }
       case MetricKind::kHistogram: {
         std::uint64_t nb = r.read_u64("registry.histogram_bounds");
         std::vector<double> bounds(static_cast<std::size_t>(nb));
         for (double& b : bounds) b = r.read_f64("registry.histogram_bound");
-        histogram(name, help, std::move(bounds), wall).restore_ckpt(r);
+        if (keep) {
+          Histogram(std::move(bounds)).restore_ckpt(r);
+        } else {
+          histogram(name, help, std::move(bounds), wall).restore_ckpt(r);
+        }
         break;
       }
     }

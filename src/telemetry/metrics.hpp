@@ -21,8 +21,8 @@
 //     scrapes walk the published list with one acquire load and never
 //     touch the map or the mutex.  Retired lists
 //     stay alive until the Registry dies, so a reader mid-walk is always
-//     safe.  (Exception: restore_ckpt rebuilds the map in place and is a
-//     startup-path operation — it must not race a scrape.)
+//     safe.  restore_ckpt likewise retires the entries it replaces
+//     rather than destroying them.
 //
 // Determinism contract: metrics derived from simulated quantities are
 // bit-stable across identical campaigns.  Metrics fed from wall-clock
@@ -196,8 +196,10 @@ class Registry {
   /// Checkpoint support: every registered metric (name, kind, help,
   /// wall-clock flag and current value) round-trips, so a resumed
   /// campaign's exports are byte-identical to the uninterrupted run's.
-  /// restore_ckpt is the one registry operation that must not race a
-  /// scrape (startup path only).
+  /// restore_ckpt replaces the simulated-time metrics and keeps the
+  /// wall-clock ones this process registered (with their values); the
+  /// replaced entries are retired, never destroyed, so it may race a
+  /// scrape and every reference a registration returned stays valid.
   void save_ckpt(util::CkptWriter& w) const;
   void restore_ckpt(util::CkptReader& r);
 
@@ -235,6 +237,9 @@ class Registry {
   // (bounded by the registration count) so a concurrent reader can finish
   // walking one.
   std::vector<std::unique_ptr<const SnapList>> retired_
+      P2SIM_GUARDED_BY(reg_mu_);
+  // Entries restore_ckpt replaced, kept alive for the same reason.
+  std::vector<std::map<std::string, Entry, std::less<>>> retired_entries_
       P2SIM_GUARDED_BY(reg_mu_);
   std::atomic<const SnapList*> snap_head_{nullptr};
 };

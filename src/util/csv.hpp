@@ -1,5 +1,5 @@
-// Minimal CSV emission.  examples/sp2_report writes the series behind each
-// figure as CSV so results can be re-plotted outside the repository.
+// Minimal CSV emission.  `run_experiment --outdir` writes the series behind
+// each figure as CSV so results can be re-plotted outside the repository.
 #pragma once
 
 #include <ostream>

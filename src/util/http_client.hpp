@@ -1,7 +1,8 @@
 // A minimal blocking HTTP/1.1 client for the monitoring plane's own use:
-// the daemon's self-scrape (--scrape-dump), `campaign_dashboard --connect`,
-// the scrape-overhead bench and the server tests.  One request per
-// connection ("Connection: close"), bounded by a wall-clock deadline.
+// the daemon's self-scrape (--scrape-dump), `campaign_dashboard --connect`
+// (the remote view of a running p2sim_monitord), the scrape-overhead bench
+// and the server tests.  One request per connection ("Connection:
+// close"), bounded by a wall-clock deadline.
 #pragma once
 
 #include <cstdint>

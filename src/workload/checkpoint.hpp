@@ -66,7 +66,8 @@ struct ResumeReport {
 struct CheckpointConfig {
   /// Directory for checkpoint generations; empty disables checkpointing.
   std::string dir{};
-  /// Simulated-time cadence: write after every N-th interval.
+  /// Simulated-time cadence: write after every N-th interval (> 0 when
+  /// `dir` is set; the driver rejects anything else).
   std::int64_t every_intervals = 96;
   /// Generations to retain (older ones are pruned after a commit).
   int keep = 2;

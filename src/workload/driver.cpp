@@ -35,6 +35,9 @@ WorkloadDriver::WorkloadDriver(const DriverConfig& cfg) : cfg_(cfg) {
   if (cfg_.threads < 0) {
     throw std::invalid_argument("threads must be >= 0 (0 = hardware)");
   }
+  if (!cfg_.checkpoint.dir.empty() && cfg_.checkpoint.every_intervals <= 0) {
+    throw std::invalid_argument("checkpoint.every_intervals must be > 0");
+  }
 }
 
 WorkloadDriver::~WorkloadDriver() = default;
@@ -639,7 +642,7 @@ void WorkloadDriver::phase_horizon(CampaignState& st) {
       std::min(st.total_intervals, (st.day + 1) * util::kIntervalsPerDay) -
       st.t;
   const CheckpointConfig& ck = cfg_.checkpoint;
-  if (!ck.dir.empty() && ck.every_intervals > 0) {
+  if (!ck.dir.empty()) {
     const std::int64_t next_ck =
         (st.t / ck.every_intervals + 1) * ck.every_intervals;
     cap = std::min(cap, next_ck - st.t);
@@ -952,7 +955,7 @@ std::int64_t WorkloadDriver::try_resume(CampaignState& st) {
 void WorkloadDriver::maybe_checkpoint(CampaignState& st) {
   checkpoint_test_tick("interval-end", st.t);
   const CheckpointConfig& ck = cfg_.checkpoint;
-  if (ck.dir.empty() || ck.every_intervals <= 0) return;
+  if (ck.dir.empty()) return;
   const std::int64_t next_t = st.t + 1;
   if (next_t % ck.every_intervals != 0 || next_t >= st.total_intervals) {
     return;

@@ -1,6 +1,9 @@
 #include "src/cluster/node.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +35,56 @@ TEST(Node, RejectsSliceAboveWrapPeriod) {
   NodeConfig cfg;
   cfg.max_sample_slice_s = 70.0;  // 70 s * 66.7 MHz > 2^32
   EXPECT_THROW(Node(0, cfg), std::invalid_argument);
+}
+
+TEST(Node, RejectsNegativeOrNonFiniteCostsAndRates) {
+  using Field = double NodeConfig::*;
+  for (const Field field :
+       {&NodeConfig::fault_fxu_inst, &NodeConfig::fault_icu_inst,
+        &NodeConfig::fault_cycles, &NodeConfig::page_bytes,
+        &NodeConfig::os_noise_fxu_per_s, &NodeConfig::os_noise_icu_per_s}) {
+    for (const double bad : {-1.0, -std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      NodeConfig cfg;
+      cfg.*field = bad;
+      EXPECT_THROW(Node(0, cfg), std::invalid_argument) << bad;
+    }
+    NodeConfig zero;
+    zero.*field = 0.0;
+    EXPECT_NO_THROW(Node(0, zero));
+  }
+}
+
+TEST(Node, RestoreRejectsDoctoredResidual) {
+  Node n(0);
+  n.advance_idle(900.0);
+  util::CkptWriter w;
+  n.save_ckpt(w);
+  const std::string good = w.bytes();
+  {
+    Node restored(0);
+    util::CkptReader r(good);
+    EXPECT_NO_THROW(restored.restore_ckpt(r));
+  }
+  // The payload ends with the five residuals, each a tag byte and eight
+  // little-endian bytes.
+  for (int k = 1; k <= 5; ++k) {
+    for (const double bad : {-0.25, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      std::string doctored = good;
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(bad);
+      const std::size_t at = doctored.size() - 9 * static_cast<std::size_t>(k);
+      ASSERT_EQ(doctored[at], 'd');
+      for (int b = 0; b < 8; ++b) {
+        doctored[at + 1 + b] = static_cast<char>((bits >> (8 * b)) & 0xff);
+      }
+      Node restored(0);
+      util::CkptReader r(doctored);
+      EXPECT_THROW(restored.restore_ckpt(r), util::CkptError)
+          << "residual " << k << " from the end = " << bad;
+    }
+  }
 }
 
 TEST(Node, IdleAccruesOnlyTrickleSystemNoise) {

@@ -1,14 +1,16 @@
 // Dashboard smoke test: a faulted campaign observed live through a
 // HealthReporter must agree with the post-hoc measurement-loss report to
 // the last node-sample, and the rendered dashboard must carry the daily
-// charts.  This is the "live view equals batch view" contract the
-// campaign_dashboard example stakes its reconciliation check on.
+// charts.  This is the "live view equals batch view" contract
+// p2sim_monitord stakes its per-campaign reconciliation check on.
 #include "src/telemetry/reporter.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/loss.hpp"
 #include "src/core/simulation.hpp"
@@ -45,16 +47,57 @@ TEST(Dashboard, SnapshotMatchesMeasurementLossExactly) {
   ASSERT_TRUE(loss.reconciled());
   ASSERT_GT(loss.injected.total_faults(), 0);
 
-  EXPECT_EQ(snap.intervals_seen, loss.intervals_expected);
-  EXPECT_EQ(snap.intervals_recorded, loss.intervals_recorded);
-  EXPECT_EQ(snap.node_samples_expected, loss.node_samples_expected);
-  EXPECT_EQ(snap.node_samples_clean, loss.node_samples_clean);
-  EXPECT_EQ(snap.node_samples_reprimed, loss.node_samples_reprimed);
-  EXPECT_EQ(snap.faults_injected, loss.injected.total_faults());
-  EXPECT_EQ(snap.jobs_requeued, loss.injected.jobs_requeued);
+  // Intervals seen and recorded, node-samples expected, clean and
+  // reprimed, faults injected and jobs requeued all agree.
+  EXPECT_EQ(analysis::reconcile_live(snap, loss), std::vector<std::string>{});
   EXPECT_DOUBLE_EQ(snap.coverage(),
                    static_cast<double>(loss.node_samples_clean) /
                        static_cast<double>(loss.node_samples_expected));
+}
+
+TEST(Dashboard, ReconcileLiveNamesEachPerturbedField) {
+  analysis::MeasurementLoss loss;
+  loss.intervals_expected = 96;
+  loss.intervals_recorded = 95;
+  loss.node_samples_expected = 760;
+  loss.node_samples_clean = 750;
+  loss.node_samples_reprimed = 4;
+  loss.injected.intervals_missed = 1;
+  loss.injected.jobs_requeued = 2;
+  loss.intervals_reconciled = loss.node_samples_reconciled =
+      loss.jobs_reconciled = true;
+  telemetry::HealthSnapshot live;
+  live.intervals_seen = 96;
+  live.intervals_recorded = 95;
+  live.node_samples_expected = 760;
+  live.node_samples_clean = 750;
+  live.node_samples_reprimed = 4;
+  live.faults_injected = loss.injected.total_faults();
+  live.jobs_requeued = 2;
+  ASSERT_EQ(analysis::reconcile_live(live, loss), std::vector<std::string>{});
+
+  using Field = std::int64_t telemetry::HealthSnapshot::*;
+  const std::pair<Field, const char*> fields[] = {
+      {&telemetry::HealthSnapshot::intervals_seen, "intervals_seen"},
+      {&telemetry::HealthSnapshot::intervals_recorded, "intervals_recorded"},
+      {&telemetry::HealthSnapshot::node_samples_expected,
+       "node_samples_expected"},
+      {&telemetry::HealthSnapshot::node_samples_clean, "node_samples_clean"},
+      {&telemetry::HealthSnapshot::node_samples_reprimed,
+       "node_samples_reprimed"},
+      {&telemetry::HealthSnapshot::faults_injected, "faults_injected"},
+      {&telemetry::HealthSnapshot::jobs_requeued, "jobs_requeued"},
+  };
+  for (const auto& [field, name] : fields) {
+    telemetry::HealthSnapshot perturbed = live;
+    perturbed.*field += 1;
+    EXPECT_EQ(analysis::reconcile_live(perturbed, loss),
+              std::vector<std::string>{name});
+  }
+  analysis::MeasurementLoss broken = loss;
+  broken.jobs_reconciled = false;
+  EXPECT_EQ(analysis::reconcile_live(live, broken),
+            std::vector<std::string>{"loss.reconciled"});
 }
 
 TEST(Dashboard, JobTalliesMatchTheCampaign) {

@@ -6,6 +6,8 @@
 
 #include <stdexcept>
 
+#include "src/util/ckpt.hpp"
+
 namespace p2sim::telemetry {
 namespace {
 
@@ -128,6 +130,37 @@ TEST(Metrics, MetricsCreatedCountsConstructions) {
   // Idempotent re-registration allocates nothing further.
   reg.counter("p2sim_test_a_total", "a");
   EXPECT_EQ(metrics_created() - before, 3u);
+}
+
+TEST(Metrics, RestoreKeepsWallClockEntriesAndEveryReference) {
+  Registry saved;
+  saved.counter("p2sim_test_sim_total", "simulated").inc(5);
+  saved.counter("p2sim_test_wall_total", "wall", /*wall_clock=*/true).inc(7);
+  saved.gauge("p2sim_test_wall_only", "wall", /*wall_clock=*/true).set(2.5);
+  util::CkptWriter w;
+  saved.save_ckpt(w);
+
+  // A process that registered its own wall-clock counter and a
+  // simulated-time counter before resuming, and holds references to both.
+  Registry reg;
+  Counter& wall = reg.counter("p2sim_test_wall_total", "wall", true);
+  wall.inc(2);
+  Counter& stale = reg.counter("p2sim_test_stale_total", "simulated");
+  stale.inc(1);
+  util::CkptReader r(w.bytes());
+  reg.restore_ckpt(r);
+  r.expect_end("registry");
+
+  EXPECT_EQ(reg.counter("p2sim_test_sim_total", "simulated").value(), 5u);
+  EXPECT_EQ(reg.gauge("p2sim_test_wall_only", "wall", true).value(), 2.5);
+  EXPECT_FALSE(reg.contains("p2sim_test_stale_total"));
+  // The process's own wall-clock counter kept its value and stays live.
+  wall.inc();
+  EXPECT_EQ(reg.counter("p2sim_test_wall_total", "wall", true).value(), 3u);
+  // A retired entry is still a valid object; it is just not exported.
+  stale.inc();
+  EXPECT_EQ(stale.value(), 2u);
+  EXPECT_EQ(reg.size(), 3u);
 }
 
 }  // namespace

@@ -37,6 +37,21 @@ TEST(Driver, RejectsInvalidConfigs) {
   EXPECT_THROW(WorkloadDriver{bad}, std::invalid_argument);
 }
 
+TEST(Driver, RejectsCheckpointDirWithoutCadence) {
+  // A checkpoint directory with no positive cadence would run the whole
+  // campaign and write no generation at all.
+  for (const std::int64_t every : {0, -5}) {
+    DriverConfig bad = small_config();
+    bad.checkpoint.dir = "unused_ckpt_dir";
+    bad.checkpoint.every_intervals = every;
+    EXPECT_THROW(WorkloadDriver{bad}, std::invalid_argument) << every;
+  }
+  // Without a directory the cadence is unused.
+  DriverConfig off = small_config();
+  off.checkpoint.every_intervals = 0;
+  EXPECT_NO_THROW(WorkloadDriver{off});
+}
+
 TEST(Driver, ProducesOneRecordPerInterval) {
   const CampaignResult r = run_campaign(small_config());
   EXPECT_EQ(r.days, 5);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate the three export files a campaign_dashboard run produces.
+"""Validate the three export files ``p2sim_monitord --outdir`` writes.
 
 Checked against the formats the telemetry layer promises:
 
