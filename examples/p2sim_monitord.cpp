@@ -8,7 +8,9 @@
 // The campaign flags are the ones every campaign binary shares
 // (examples/campaign_cli.hpp); campaign k runs with seed S+k, and the
 // --records and --outdir files hold the latest campaign.  `--campaigns N`
-// exits after N campaigns (0 = until /quitquitquit); `--port-file` writes
+// exits after N campaigns (0 = until /quitquitquit); `--checkpoint-dir`
+// requires `--campaigns 1`, since every campaign has its own seed and so
+// its own checkpoint fingerprint.  `--port-file` writes
 // the bound port once the server listens (the handshake for `--port 0`);
 // `--scrape-dump FILE` writes one self-scrape of /metrics after the first
 // campaign.  Each campaign prints a health line per simulated day and an
@@ -74,6 +76,11 @@ int main(int argc, char** argv) {
              {"--quiet", [&] { quiet = true; }}});
   if (campaigns < 0 || port < 0 || port > 65535) {
     args.fail("--campaigns must be >= 0 and --port in [0, 65535]");
+  }
+  // Each campaign runs under its own seed, so campaigns sharing one
+  // checkpoint directory would refuse each other's generations on resume.
+  if (campaigns != 1 && !opt.checkpoint_dir.empty()) {
+    args.fail("--checkpoint-dir needs --campaigns 1");
   }
 
   telemetry::Session session;

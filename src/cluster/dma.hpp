@@ -104,18 +104,15 @@ class DmaEngine {
   }
   P2SIM_PAR_SAFE const DmaConfig& config() const { return cfg_; }
 
-  /// Checkpoint support: residuals and lifetime totals round-trip exactly.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_f64(pending_read_bytes_);
-    w.put_f64(pending_write_bytes_);
-    w.put_f64(total_read_bytes_);
-    w.put_f64(total_write_bytes_);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    pending_read_bytes_ = r.read_f64("dma.pending_read");
-    pending_write_bytes_ = r.read_f64("dma.pending_write");
-    total_read_bytes_ = r.read_f64("dma.total_read");
-    total_write_bytes_ = r.read_f64("dma.total_write");
+  /// Checkpoint fields: residuals and lifetime totals round-trip exactly.
+  /// Restoring throws util::CkptError on negative or non-finite pending
+  /// bytes, which take_transfers could not convert.
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_residual(io, "dma.pending_read", self.pending_read_bytes_);
+    util::ckpt_residual(io, "dma.pending_write", self.pending_write_bytes_);
+    util::ckpt_field(io, "dma.total_read", self.total_read_bytes_);
+    util::ckpt_field(io, "dma.total_write", self.total_write_bytes_);
   }
 
  private:

@@ -38,10 +38,9 @@ class NfsModel {
   double total_bytes() const { return total_bytes_; }
   const NfsConfig& config() const { return cfg_; }
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const { w.put_f64(total_bytes_); }
-  void restore_ckpt(util::CkptReader& r) {
-    total_bytes_ = r.read_f64("nfs.total_bytes");
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "nfs.total_bytes", self.total_bytes_);
   }
 
  private:

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
-#include <string>
 
 #include "src/check/check.hpp"
 #include "src/cluster/carry_chain.hpp"
@@ -59,28 +58,6 @@ void Node::crash() {
 }
 
 void Node::reboot() { up_ = true; }
-
-void Node::restore_ckpt(util::CkptReader& r) {
-  monitor_.restore_ckpt(r);
-  ext_.restore_ckpt(r);
-  dma_.restore_ckpt(r);
-  quad_total_ = r.read_u64("node.quad_total");
-  busy_seconds_ = r.read_f64("node.busy_seconds");
-  up_ = r.read_bool("node.up");
-  const auto residual = [&r](const char* what) {
-    const double v = r.read_f64(what);
-    if (!(std::isfinite(v) && v >= 0.0)) {
-      throw util::CkptError(std::string(what) +
-                            ": negative or non-finite residual");
-    }
-    return v;
-  };
-  resid_fault_fxu_ = residual("node.resid_fault_fxu");
-  resid_fault_icu_ = residual("node.resid_fault_icu");
-  resid_fault_cycles_ = residual("node.resid_fault_cycles");
-  resid_noise_fxu_ = residual("node.resid_noise_fxu");
-  resid_noise_icu_ = residual("node.resid_noise_icu");
-}
 
 void Node::advance(double seconds, const power2::EventSignature* sig,
                    const ActivityProfile& profile) {

@@ -112,24 +112,25 @@ class Node {
 
   double busy_seconds() const { return busy_seconds_; }
 
-  /// Checkpoint support: the complete per-node dynamic state (wrapping
+  /// Checkpoint fields: the complete per-node dynamic state (wrapping
   /// banks, 64-bit extension, DMA residuals, up/down flag, event
-  /// residuals), so a restored node advances bit-identically.
-  void save_ckpt(util::CkptWriter& w) const {
-    monitor_.save_ckpt(w);
-    ext_.save_ckpt(w);
-    dma_.save_ckpt(w);
-    w.put_u64(quad_total_);
-    w.put_f64(busy_seconds_);
-    w.put_bool(up_);
-    w.put_f64(resid_fault_fxu_);
-    w.put_f64(resid_fault_icu_);
-    w.put_f64(resid_fault_cycles_);
-    w.put_f64(resid_noise_fxu_);
-    w.put_f64(resid_noise_icu_);
+  /// residuals), so a restored node advances bit-identically.  Restoring
+  /// throws util::CkptError on a negative or non-finite residual.
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "node.monitor", self.monitor_);
+    util::ckpt_field(io, "node.ext", self.ext_);
+    util::ckpt_field(io, "node.dma", self.dma_);
+    util::ckpt_field(io, "node.quad_total", self.quad_total_);
+    util::ckpt_field(io, "node.busy_seconds", self.busy_seconds_);
+    util::ckpt_field(io, "node.up", self.up_);
+    util::ckpt_residual(io, "node.resid_fault_fxu", self.resid_fault_fxu_);
+    util::ckpt_residual(io, "node.resid_fault_icu", self.resid_fault_icu_);
+    util::ckpt_residual(io, "node.resid_fault_cycles",
+                        self.resid_fault_cycles_);
+    util::ckpt_residual(io, "node.resid_noise_fxu", self.resid_noise_fxu_);
+    util::ckpt_residual(io, "node.resid_noise_icu", self.resid_noise_icu_);
   }
-  /// Throws util::CkptError on a negative or non-finite residual.
-  void restore_ckpt(util::CkptReader& r);
 
  private:
   /// Lets the equivalence tests check which arm of replay_full_slices a

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "src/check/annotate.hpp"
+#include "src/util/ckpt.hpp"
 #include "src/util/rng.hpp"
 
 namespace p2sim::fault {
@@ -120,34 +121,24 @@ struct FaultLog {
            prologues_lost + epilogues_lost + records_corrupted;
   }
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_i64(node_crashes);
-    w.put_i64(down_node_intervals);
-    w.put_i64(intervals_missed);
-    w.put_i64(node_samples_unreachable);
-    w.put_i64(node_samples_lost);
-    w.put_i64(prologues_lost);
-    w.put_i64(epilogues_lost);
-    w.put_i64(jobs_killed);
-    w.put_i64(jobs_killed_sans_prologue);
-    w.put_i64(jobs_requeued);
-    w.put_i64(records_corrupted);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    node_crashes = r.read_i64("fault_log.node_crashes");
-    down_node_intervals = r.read_i64("fault_log.down_node_intervals");
-    intervals_missed = r.read_i64("fault_log.intervals_missed");
-    node_samples_unreachable =
-        r.read_i64("fault_log.node_samples_unreachable");
-    node_samples_lost = r.read_i64("fault_log.node_samples_lost");
-    prologues_lost = r.read_i64("fault_log.prologues_lost");
-    epilogues_lost = r.read_i64("fault_log.epilogues_lost");
-    jobs_killed = r.read_i64("fault_log.jobs_killed");
-    jobs_killed_sans_prologue =
-        r.read_i64("fault_log.jobs_killed_sans_prologue");
-    jobs_requeued = r.read_i64("fault_log.jobs_requeued");
-    records_corrupted = r.read_i64("fault_log.records_corrupted");
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "fault_log.node_crashes", self.node_crashes);
+    util::ckpt_field(io, "fault_log.down_node_intervals",
+                     self.down_node_intervals);
+    util::ckpt_field(io, "fault_log.intervals_missed", self.intervals_missed);
+    util::ckpt_field(io, "fault_log.node_samples_unreachable",
+                     self.node_samples_unreachable);
+    util::ckpt_field(io, "fault_log.node_samples_lost",
+                     self.node_samples_lost);
+    util::ckpt_field(io, "fault_log.prologues_lost", self.prologues_lost);
+    util::ckpt_field(io, "fault_log.epilogues_lost", self.epilogues_lost);
+    util::ckpt_field(io, "fault_log.jobs_killed", self.jobs_killed);
+    util::ckpt_field(io, "fault_log.jobs_killed_sans_prologue",
+                     self.jobs_killed_sans_prologue);
+    util::ckpt_field(io, "fault_log.jobs_requeued", self.jobs_requeued);
+    util::ckpt_field(io, "fault_log.records_corrupted",
+                     self.records_corrupted);
   }
 };
 
@@ -181,10 +172,12 @@ class FaultInjector {
   const FaultLog& log() const { return log_; }
   const FaultSchedule& schedule() const { return sched_; }
 
-  /// Checkpoint support: the schedule is a pure function of its config, so
+  /// Checkpoint fields: the schedule is a pure function of its config, so
   /// only the tally needs to round-trip.
-  void save_ckpt(util::CkptWriter& w) const { log_.save_ckpt(w); }
-  void restore_ckpt(util::CkptReader& r) { log_.restore_ckpt(r); }
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "inject.log", self.log_);
+  }
 
  private:
   FaultSchedule sched_;

@@ -66,12 +66,10 @@ class CounterBank {
   }
   P2SIM_PAR_SAFE void clear() { counters_.fill(0); }
 
-  /// Checkpoint support: raw 32-bit register values round-trip exactly.
-  void save_ckpt(util::CkptWriter& w) const {
-    for (std::uint32_t c : counters_) w.put_u32(c);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    for (std::uint32_t& c : counters_) c = r.read_u32("counter_bank.reg");
+  /// Checkpoint fields: raw 32-bit register values round-trip exactly.
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "counter_bank.reg", self.counters_);
   }
 
  private:
@@ -118,13 +116,11 @@ class PerformanceMonitor {
 
   const MonitorConfig& config() const { return cfg_; }
 
-  /// Checkpoint support: both privilege-mode banks (config is rebuilt from
+  /// Checkpoint fields: both privilege-mode banks (config is rebuilt from
   /// the campaign configuration, not serialized).
-  void save_ckpt(util::CkptWriter& w) const {
-    for (const CounterBank& b : banks_) b.save_ckpt(w);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    for (CounterBank& b : banks_) b.restore_ckpt(r);
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "monitor.banks", self.banks_);
   }
 
  private:

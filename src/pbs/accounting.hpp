@@ -29,18 +29,12 @@ struct JobRecord {
   /// snapshots fired and no counter reset mid-job.
   bool complete() const { return report.complete; }
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    spec.save_ckpt(w);
-    w.put_f64(start_time_s);
-    w.put_f64(end_time_s);
-    report.save_ckpt(w);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    spec.restore_ckpt(r);
-    start_time_s = r.read_f64("job_record.start_time_s");
-    end_time_s = r.read_f64("job_record.end_time_s");
-    report.restore_ckpt(r);
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "job_record.spec", self.spec);
+    util::ckpt_field(io, "job_record.start_time_s", self.start_time_s);
+    util::ckpt_field(io, "job_record.end_time_s", self.end_time_s);
+    util::ckpt_field(io, "job_record.report", self.report);
   }
 };
 

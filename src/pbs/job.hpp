@@ -35,28 +35,17 @@ struct JobSpec {
   std::int64_t profile_id = 0;
   JobKind kind = JobKind::kBatch;
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_i64(job_id);
-    w.put_i32(user_id);
-    w.put_i32(nodes_requested);
-    w.put_f64(submit_time_s);
-    w.put_f64(runtime_s);
-    w.put_f64(walltime_request_s);
-    w.put_f64(memory_mb_per_node);
-    w.put_i64(profile_id);
-    w.put_u8(static_cast<std::uint8_t>(kind));
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    job_id = r.read_i64("job.id");
-    user_id = r.read_i32("job.user_id");
-    nodes_requested = r.read_i32("job.nodes_requested");
-    submit_time_s = r.read_f64("job.submit_time");
-    runtime_s = r.read_f64("job.runtime");
-    walltime_request_s = r.read_f64("job.walltime_request");
-    memory_mb_per_node = r.read_f64("job.memory_mb_per_node");
-    profile_id = r.read_i64("job.profile_id");
-    kind = static_cast<JobKind>(r.read_u8("job.kind"));
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "job.id", self.job_id);
+    util::ckpt_field(io, "job.user_id", self.user_id);
+    util::ckpt_field(io, "job.nodes_requested", self.nodes_requested);
+    util::ckpt_field(io, "job.submit_time", self.submit_time_s);
+    util::ckpt_field(io, "job.runtime", self.runtime_s);
+    util::ckpt_field(io, "job.walltime_request", self.walltime_request_s);
+    util::ckpt_field(io, "job.memory_mb_per_node", self.memory_mb_per_node);
+    util::ckpt_field(io, "job.profile_id", self.profile_id);
+    util::ckpt_field(io, "job.kind", self.kind);
   }
 };
 

@@ -179,55 +179,4 @@ std::vector<int> Scheduler::nodes_of(std::int64_t job_id) const {
   return it == running_.end() ? std::vector<int>{} : it->second;
 }
 
-void Scheduler::save_ckpt(util::CkptWriter& w) const {
-  w.put_u64(queue_.size());
-  for (const JobSpec& j : queue_) j.save_ckpt(w);
-  w.put_u64(running_.size());
-  for (const auto& [id, nodes] : running_) {
-    w.put_i64(id);
-    w.put_u64(nodes.size());
-    for (int n : nodes) w.put_i32(n);
-  }
-  for (bool b : node_busy_) w.put_bool(b);
-  for (bool b : node_offline_) w.put_bool(b);
-  w.put_i32(free_count_);
-  w.put_i32(offline_count_);
-  w.put_bool(draining_);
-  w.put_u64(preempted_.size());
-  for (std::int64_t id : preempted_) w.put_i64(id);
-}
-
-void Scheduler::restore_ckpt(util::CkptReader& r) {
-  queue_.clear();
-  std::uint64_t nq = r.read_u64("sched.queue_size");
-  for (std::uint64_t i = 0; i < nq; ++i) {
-    JobSpec j;
-    j.restore_ckpt(r);
-    queue_.push_back(j);
-  }
-  running_.clear();
-  std::uint64_t nr = r.read_u64("sched.running_size");
-  for (std::uint64_t i = 0; i < nr; ++i) {
-    std::int64_t id = r.read_i64("sched.running_id");
-    std::uint64_t nn = r.read_u64("sched.running_nodes");
-    std::vector<int> nodes(static_cast<std::size_t>(nn));
-    for (int& n : nodes) n = r.read_i32("sched.running_node");
-    running_.emplace(id, std::move(nodes));
-  }
-  for (std::size_t i = 0; i < node_busy_.size(); ++i) {
-    node_busy_[i] = r.read_bool("sched.node_busy");
-  }
-  for (std::size_t i = 0; i < node_offline_.size(); ++i) {
-    node_offline_[i] = r.read_bool("sched.node_offline");
-  }
-  free_count_ = r.read_i32("sched.free_count");
-  offline_count_ = r.read_i32("sched.offline_count");
-  draining_ = r.read_bool("sched.draining");
-  preempted_.clear();
-  std::uint64_t np = r.read_u64("sched.preempted_size");
-  for (std::uint64_t i = 0; i < np; ++i) {
-    preempted_.push_back(r.read_i64("sched.preempted_id"));
-  }
-}
-
 }  // namespace p2sim::pbs

@@ -93,8 +93,22 @@ class Scheduler {
   /// busy/offline flags and the draining latch all round-trip, so a
   /// restored scheduler makes the same decisions the uninterrupted one
   /// would have.
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_seq(io, "sched.queue_size", self.queue_, "sched.queued");
+    util::ckpt_map(io, "sched.running_size", "sched.running_id",
+                   self.running_, [](Io& io2, auto& nodes) {
+                     util::ckpt_seq(io2, "sched.running_nodes", nodes,
+                                    "sched.running_node");
+                   });
+    util::ckpt_field(io, "sched.node_busy", self.node_busy_);
+    util::ckpt_field(io, "sched.node_offline", self.node_offline_);
+    util::ckpt_field(io, "sched.free_count", self.free_count_);
+    util::ckpt_field(io, "sched.offline_count", self.offline_count_);
+    util::ckpt_field(io, "sched.draining", self.draining_);
+    util::ckpt_seq(io, "sched.preempted_size", self.preempted_,
+                   "sched.preempted_id");
+  }
 
  private:
   std::vector<int> allocate(int n);

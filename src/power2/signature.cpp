@@ -126,54 +126,36 @@ bool SignatureCache::flush() {
   return true;
 }
 
-void EventSignature::save_ckpt(util::CkptWriter& w) const {
-  w.put_f64(cycles_per_iter);
-  for (const ScaledField& f : kScaledFields) w.put_f64(this->*(f.rate));
-}
-
-void EventSignature::restore_ckpt(util::CkptReader& r) {
-  cycles_per_iter = r.read_f64("signature.cycles_per_iter");
+template <class Io, class Self>
+void EventSignature::ckpt_fields(Io& io, Self& self) {
+  util::ckpt_field(io, "signature.cycles_per_iter", self.cycles_per_iter);
   for (const ScaledField& f : kScaledFields) {
-    this->*(f.rate) = r.read_f64("signature.rate");
+    util::ckpt_field(io, "signature.rate", self.*(f.rate));
   }
-}
-
-void SignatureCache::save_ckpt(util::CkptWriter& w) const {
-  w.put_u64(core_hash_);
-  w.put_bool(dirty_);
-}
-
-void SignatureCache::restore_ckpt(util::CkptReader& r) {
-  const std::uint64_t hash = r.read_u64("sigcache.core_hash");
-  if (hash != core_hash_) {
-    throw util::CkptError("sigcache.core_hash: core config mismatch");
-  }
-  dirty_ = r.read_bool("sigcache.dirty");
 }
 
 void SignatureCache::save_journal(util::CkptWriter& w,
                                   std::size_t from) const {
-  w.put_u64(from);
-  w.put_u64(order_.size() - from);
-  for (std::size_t i = from; i < order_.size(); ++i) {
-    w.put_u64(order_[i]);
-    by_hash_.at(order_[i]).save_ckpt(w);
-  }
+  util::save_journal_section(
+      w, from, order_.size(), [this](util::CkptWriter& w2, std::size_t i) {
+        std::uint64_t hash = order_[i];
+        entry_fields(w2, hash, by_hash_.at(hash));
+      });
 }
 
 void SignatureCache::replay_journal(util::CkptReader& r) {
-  if (util::journal_section_restarts(r.read_u64("sigcache.entries"),
-                                     order_.size(), "sigcache.entries")) {
-    by_hash_.clear();
-    order_.clear();
-  }
-  const std::uint64_t n = r.read_u64("sigcache.entries");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t h = r.read_u64("sigcache.hash");
-    EventSignature s;
-    s.restore_ckpt(r);
-    if (by_hash_.emplace(h, s).second) order_.push_back(h);
-  }
+  util::replay_journal_section(
+      r, "sigcache.entries", order_.size(),
+      [this] {
+        by_hash_.clear();
+        order_.clear();
+      },
+      [this](util::CkptReader& r2) {
+        std::uint64_t hash = 0;
+        EventSignature sig;
+        entry_fields(r2, hash, sig);
+        if (by_hash_.emplace(hash, sig).second) order_.push_back(hash);
+      });
 }
 
 }  // namespace p2sim::power2

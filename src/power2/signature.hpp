@@ -67,9 +67,10 @@ struct EventSignature {
 
   bool operator==(const EventSignature&) const = default;
 
-  /// Checkpoint support (field-table driven, like the store I/O).
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
+  /// Checkpoint fields (field-table driven, like the store I/O; defined
+  /// in signature.cpp, where the field table is).
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self);
 };
 
 /// Derives a signature by running the kernel on a core.
@@ -168,9 +169,17 @@ class SignatureCache {
   /// travel in the checkpoint journal in insertion order: save_journal
   /// writes the entries from the `from`-th on, replay_journal appends one
   /// such section (a section from entry 0 replaces the whole set, store
-  /// loads included); save_ckpt/restore_ckpt carry the rest.
-  P2SIM_SERIAL_ONLY void save_ckpt(util::CkptWriter& w) const;
-  P2SIM_SERIAL_ONLY void restore_ckpt(util::CkptReader& r);
+  /// loads included); ckpt_fields carries the rest, and restoring it
+  /// throws util::CkptError unless the core configuration hash matches.
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    std::uint64_t hash = self.core_hash_;
+    util::ckpt_field(io, "sigcache.core_hash", hash);
+    if (hash != self.core_hash_) {
+      throw util::CkptError("sigcache.core_hash: core config mismatch");
+    }
+    util::ckpt_field(io, "sigcache.dirty", self.dirty_);
+  }
   P2SIM_SERIAL_ONLY void save_journal(util::CkptWriter& w,
                                       std::size_t from) const;
   P2SIM_SERIAL_ONLY void replay_journal(util::CkptReader& r);
@@ -185,6 +194,13 @@ class SignatureCache {
   std::vector<std::uint64_t> order_;
   bool dirty_ = false;
   Stats stats_{};
+
+  /// One journal entry: the content hash, then the signature.
+  template <class Io, class Sig>
+  static void entry_fields(Io& io, std::uint64_t& hash, Sig& sig) {
+    util::ckpt_field(io, "sigcache.hash", hash);
+    util::ckpt_field(io, "sigcache.signature", sig);
+  }
 };
 
 }  // namespace p2sim::power2

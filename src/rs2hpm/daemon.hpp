@@ -43,24 +43,15 @@ struct IntervalRecord {
                : 1.0;
   }
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_i64(interval);
-    delta.save_ckpt(w);
-    w.put_u64(quad_surplus);
-    w.put_i32(nodes_sampled);
-    w.put_i32(nodes_expected);
-    w.put_i32(nodes_reprimed);
-    w.put_i32(busy_nodes);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    interval = r.read_i64("record.interval");
-    delta.restore_ckpt(r);
-    quad_surplus = r.read_u64("record.quad_surplus");
-    nodes_sampled = r.read_i32("record.nodes_sampled");
-    nodes_expected = r.read_i32("record.nodes_expected");
-    nodes_reprimed = r.read_i32("record.nodes_reprimed");
-    busy_nodes = r.read_i32("record.busy_nodes");
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "record.interval", self.interval);
+    util::ckpt_field(io, "record.delta", self.delta);
+    util::ckpt_field(io, "record.quad_surplus", self.quad_surplus);
+    util::ckpt_field(io, "record.nodes_sampled", self.nodes_sampled);
+    util::ckpt_field(io, "record.nodes_expected", self.nodes_expected);
+    util::ckpt_field(io, "record.nodes_reprimed", self.nodes_reprimed);
+    util::ckpt_field(io, "record.busy_nodes", self.busy_nodes);
   }
 };
 

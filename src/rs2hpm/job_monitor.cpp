@@ -98,28 +98,4 @@ JobCounterReport JobMonitor::abandon(std::int64_t job_id, double end_s) {
   return rep;
 }
 
-void JobMonitor::save_ckpt(util::CkptWriter& w) const {
-  w.put_u64(open_.size());
-  for (const auto& [id, o] : open_) {
-    w.put_i64(id);
-    w.put_f64(o.start_s);
-    w.put_u64(o.nodes.size());
-    for (const NodeSample& n : o.nodes) n.save_ckpt(w);
-  }
-}
-
-void JobMonitor::restore_ckpt(util::CkptReader& r) {
-  open_.clear();
-  std::uint64_t n = r.read_u64("jobmon.open_size");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::int64_t id = r.read_i64("jobmon.job_id");
-    Open o;
-    o.start_s = r.read_f64("jobmon.start_s");
-    std::uint64_t nn = r.read_u64("jobmon.node_count");
-    o.nodes.resize(static_cast<std::size_t>(nn));
-    for (NodeSample& n : o.nodes) n.restore_ckpt(r);
-    open_.emplace(id, std::move(o));
-  }
-}
-
 }  // namespace p2sim::rs2hpm

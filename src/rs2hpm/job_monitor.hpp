@@ -56,24 +56,15 @@ struct JobCounterReport {
   static JobCounterReport incomplete(std::int64_t job_id, int nodes,
                                      double elapsed_s);
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_i64(job_id);
-    w.put_i32(nodes);
-    w.put_f64(elapsed_s);
-    delta.save_ckpt(w);
-    w.put_u64(quad_surplus);
-    w.put_bool(complete);
-    w.put_i32(nodes_reset);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    job_id = r.read_i64("job_report.job_id");
-    nodes = r.read_i32("job_report.nodes");
-    elapsed_s = r.read_f64("job_report.elapsed_s");
-    delta.restore_ckpt(r);
-    quad_surplus = r.read_u64("job_report.quad_surplus");
-    complete = r.read_bool("job_report.complete");
-    nodes_reset = r.read_i32("job_report.nodes_reset");
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "job_report.job_id", self.job_id);
+    util::ckpt_field(io, "job_report.nodes", self.nodes);
+    util::ckpt_field(io, "job_report.elapsed_s", self.elapsed_s);
+    util::ckpt_field(io, "job_report.delta", self.delta);
+    util::ckpt_field(io, "job_report.quad_surplus", self.quad_surplus);
+    util::ckpt_field(io, "job_report.complete", self.complete);
+    util::ckpt_field(io, "job_report.nodes_reset", self.nodes_reset);
   }
 };
 
@@ -99,15 +90,24 @@ class JobMonitor {
   }
   std::size_t pending_count() const { return open_.size(); }
 
-  /// Checkpoint support: every open prologue window round-trips so the
+  /// Checkpoint fields: every open prologue window round-trips so the
   /// matching epilogue forms the same deltas after a resume.
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_map(io, "jobmon.open_size", "jobmon.job_id", self.open_,
+                   "jobmon.open");
+  }
 
  private:
   struct Open {
     double start_s = 0.0;
     std::vector<NodeSample> nodes;
+
+    template <class Io, class Self>
+    static void ckpt_fields(Io& io, Self& self) {
+      util::ckpt_field(io, "jobmon.start_s", self.start_s);
+      util::ckpt_seq(io, "jobmon.node_count", self.nodes, "jobmon.node");
+    }
   };
   std::map<std::int64_t, Open> open_;
 };

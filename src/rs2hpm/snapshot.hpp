@@ -54,14 +54,10 @@ struct ModeTotals {
 
   bool operator==(const ModeTotals&) const = default;
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    for (std::uint64_t v : user) w.put_u64(v);
-    for (std::uint64_t v : system) w.put_u64(v);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    for (std::uint64_t& v : user) v = r.read_u64("mode_totals.user");
-    for (std::uint64_t& v : system) v = r.read_u64("mode_totals.system");
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "mode_totals.user", self.user);
+    util::ckpt_field(io, "mode_totals.system", self.system);
   }
 };
 
@@ -73,14 +69,10 @@ struct NodeSample {
   ModeTotals totals;
   std::uint64_t quad = 0;
 
-  /// Checkpoint support.
-  void save_ckpt(util::CkptWriter& w) const {
-    totals.save_ckpt(w);
-    w.put_u64(quad);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    totals.restore_ckpt(r);
-    quad = r.read_u64("node_sample.quad");
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "node_sample.totals", self.totals);
+    util::ckpt_field(io, "node_sample.quad", self.quad);
   }
 };
 
@@ -132,23 +124,16 @@ class ExtendedCounters {
 
   P2SIM_PAR_SAFE const ModeTotals& totals() const { return totals_; }
 
-  /// Checkpoint support: sampling baselines, anchors and 64-bit totals all
+  /// Checkpoint fields: sampling baselines, anchors and 64-bit totals all
   /// round-trip so wrap-consistency holds across a resume.
-  void save_ckpt(util::CkptWriter& w) const {
-    for (std::uint32_t v : last_user_) w.put_u32(v);
-    for (std::uint32_t v : last_system_) w.put_u32(v);
-    for (std::uint32_t v : base_user_) w.put_u32(v);
-    for (std::uint32_t v : base_system_) w.put_u32(v);
-    totals_.save_ckpt(w);
-    w.put_bool(attached_);
-  }
-  void restore_ckpt(util::CkptReader& r) {
-    for (std::uint32_t& v : last_user_) v = r.read_u32("ext.last_user");
-    for (std::uint32_t& v : last_system_) v = r.read_u32("ext.last_system");
-    for (std::uint32_t& v : base_user_) v = r.read_u32("ext.base_user");
-    for (std::uint32_t& v : base_system_) v = r.read_u32("ext.base_system");
-    totals_.restore_ckpt(r);
-    attached_ = r.read_bool("ext.attached");
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "ext.last_user", self.last_user_);
+    util::ckpt_field(io, "ext.last_system", self.last_system_);
+    util::ckpt_field(io, "ext.base_user", self.base_user_);
+    util::ckpt_field(io, "ext.base_system", self.base_system_);
+    util::ckpt_field(io, "ext.totals", self.totals_);
+    util::ckpt_field(io, "ext.attached", self.attached_);
   }
 
   void reset_totals() {

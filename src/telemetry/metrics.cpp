@@ -69,6 +69,51 @@ std::string escape_label(std::string_view s) {
   return out;
 }
 
+/// One registry entry as a checkpoint carries it: name, kind, help, the
+/// wall-clock flag, then the value of its kind (a histogram's bounds,
+/// per-bucket counts, observation count and sum).
+struct SavedMetric {
+  std::string name;
+  std::uint8_t kind = 0;
+  std::string help;
+  bool wall_clock = false;
+  std::uint64_t counter = 0;
+  double gauge = 0.0;
+  std::vector<double> bounds;
+  std::vector<std::uint64_t> buckets;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "registry.name", self.name);
+    util::ckpt_field(io, "registry.kind", self.kind);
+    if (self.kind > static_cast<std::uint8_t>(MetricKind::kHistogram)) {
+      throw util::CkptError("registry.kind: unknown metric kind");
+    }
+    util::ckpt_field(io, "registry.help", self.help);
+    util::ckpt_field(io, "registry.wall_clock", self.wall_clock);
+    switch (static_cast<MetricKind>(self.kind)) {
+      case MetricKind::kCounter:
+        util::ckpt_field(io, "registry.counter_value", self.counter);
+        break;
+      case MetricKind::kGauge:
+        util::ckpt_field(io, "registry.gauge_value", self.gauge);
+        break;
+      case MetricKind::kHistogram:
+        util::ckpt_seq(io, "registry.histogram_bounds", self.bounds,
+                       "registry.histogram_bound");
+        if constexpr (util::kRestoring<Io>) {
+          self.buckets.assign(self.bounds.size() + 1, 0);
+        }
+        util::ckpt_field(io, "histogram.bucket", self.buckets);
+        util::ckpt_field(io, "histogram.count", self.count);
+        util::ckpt_field(io, "histogram.sum", self.sum);
+        break;
+    }
+  }
+};
+
 }  // namespace
 
 std::uint64_t metrics_created() {
@@ -353,23 +398,14 @@ std::string Registry::jsonl(bool include_wall_clock) const {
   return render_jsonl(snapshot(), include_wall_clock);
 }
 
-void Histogram::save_ckpt(util::CkptWriter& w) const {
-  std::vector<std::uint64_t> counts;
-  std::uint64_t n = 0;
-  double s = 0.0;
-  read_coherent(&counts, &n, &s);
-  for (std::uint64_t c : counts) w.put_u64(c);
-  w.put_u64(n);
-  w.put_f64(s);
-}
-
-void Histogram::restore_ckpt(util::CkptReader& r) {
+void Histogram::restore(const std::vector<std::uint64_t>& counts,
+                        std::uint64_t count, double sum) {
   const std::uint64_t entry = writer_lock();
-  for (std::size_t i = 0; i < hbkt_.size(); ++i) {
-    hbkt_[i].store(r.read_u64("histogram.bucket"), std::memory_order_relaxed);
+  for (std::size_t i = 0; i < std::min(hbkt_.size(), counts.size()); ++i) {
+    hbkt_[i].store(counts[i], std::memory_order_relaxed);
   }
-  hnum_.store(r.read_u64("histogram.count"), std::memory_order_relaxed);
-  hsum_.store(r.read_f64("histogram.sum"), std::memory_order_relaxed);
+  hnum_.store(count, std::memory_order_relaxed);
+  hsum_.store(sum, std::memory_order_relaxed);
   writer_unlock(entry);
 }
 
@@ -377,25 +413,24 @@ void Registry::save_ckpt(util::CkptWriter& w) const {
   std::lock_guard<std::mutex> lock(reg_mu_);
   w.put_u64(entries_.size());
   for (const auto& [name, e] : entries_) {
-    w.put_str(name);
-    w.put_u8(static_cast<std::uint8_t>(e.kind));
-    w.put_str(e.help);
-    w.put_bool(e.wall_clock);
+    SavedMetric m;
+    m.name = name;
+    m.kind = static_cast<std::uint8_t>(e.kind);
+    m.help = e.help;
+    m.wall_clock = e.wall_clock;
     switch (e.kind) {
       case MetricKind::kCounter:
-        w.put_u64(e.c != nullptr ? e.c->value() : 0);
+        m.counter = e.c != nullptr ? e.c->value() : 0;
         break;
       case MetricKind::kGauge:
-        w.put_f64(e.g != nullptr ? e.g->value() : 0.0);
+        m.gauge = e.g != nullptr ? e.g->value() : 0.0;
         break;
-      case MetricKind::kHistogram: {
-        const auto& bounds = e.h->upper_bounds();
-        w.put_u64(bounds.size());
-        for (double b : bounds) w.put_f64(b);
-        e.h->save_ckpt(w);
+      case MetricKind::kHistogram:
+        m.bounds = e.h->upper_bounds();
+        e.h->read_coherent(&m.buckets, &m.count, &m.sum);
         break;
-      }
     }
+    util::save_ckpt(w, m);
   }
 }
 
@@ -416,40 +451,23 @@ void Registry::restore_ckpt(util::CkptReader& r) {
     entries_ = std::move(live);
     republish();
   }
-  std::uint64_t n = r.read_u64("registry.entries");
+  const std::uint64_t n = r.read_u64("registry.entries");
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::string name = r.read_str("registry.name");
-    const std::uint8_t raw_kind = r.read_u8("registry.kind");
-    if (raw_kind > static_cast<std::uint8_t>(MetricKind::kHistogram)) {
-      throw util::CkptError("registry.kind: unknown metric kind");
-    }
-    const MetricKind kind = static_cast<MetricKind>(raw_kind);
-    const std::string help = r.read_str("registry.help");
-    const bool wall = r.read_bool("registry.wall_clock");
+    SavedMetric m;
+    util::restore_ckpt(r, m);
     // A wall-clock metric this process already has keeps its own value.
-    const bool keep = wall && contains(name);
-    switch (kind) {
-      case MetricKind::kCounter: {
-        const std::uint64_t v = r.read_u64("registry.counter_value");
-        if (!keep) counter(name, help, wall).inc(v);
+    if (m.wall_clock && contains(m.name)) continue;
+    switch (static_cast<MetricKind>(m.kind)) {
+      case MetricKind::kCounter:
+        counter(m.name, m.help, m.wall_clock).inc(m.counter);
         break;
-      }
-      case MetricKind::kGauge: {
-        const double v = r.read_f64("registry.gauge_value");
-        if (!keep) gauge(name, help, wall).set(v);
+      case MetricKind::kGauge:
+        gauge(m.name, m.help, m.wall_clock).set(m.gauge);
         break;
-      }
-      case MetricKind::kHistogram: {
-        std::uint64_t nb = r.read_u64("registry.histogram_bounds");
-        std::vector<double> bounds(static_cast<std::size_t>(nb));
-        for (double& b : bounds) b = r.read_f64("registry.histogram_bound");
-        if (keep) {
-          Histogram(std::move(bounds)).restore_ckpt(r);
-        } else {
-          histogram(name, help, std::move(bounds), wall).restore_ckpt(r);
-        }
+      case MetricKind::kHistogram:
+        histogram(m.name, m.help, std::move(m.bounds), m.wall_clock)
+            .restore(m.buckets, m.count, m.sum);
         break;
-      }
     }
   }
 }

@@ -112,11 +112,12 @@ class Histogram {
   void read_coherent(std::vector<std::uint64_t>* counts, std::uint64_t* count,
                      double* sum) const;
 
-  /// Checkpoint support: observation counts and the running sum round-trip
-  /// (the sum is an order-dependent double accumulation, so it must be
-  /// restored, not replayed).
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
+  /// Checkpoint support: replaces the observation counts and the running
+  /// sum (an order-dependent double accumulation, so a checkpoint restores
+  /// it rather than replaying observations).  `counts` holds one entry per
+  /// bucket, +Inf included.
+  void restore(const std::vector<std::uint64_t>& counts, std::uint64_t count,
+               double sum);
 
  private:
   std::uint64_t writer_lock();

@@ -20,10 +20,15 @@ void HealthReporter::on_interval(const HealthSample& sample) {
     snap_.node_samples_reprimed += sample.nodes_reprimed;
     snap_.mflops_sum += sample.mflops;
   }
-  snap_.jobs_dispatched = sample.jobs_dispatched;
-  snap_.jobs_completed = sample.jobs_completed;
-  snap_.jobs_requeued = sample.jobs_requeued;
-  snap_.faults_injected = sample.faults_injected;
+  // A sample that does not advance past the previous one starts another
+  // campaign, whose counts restart: fold the previous campaign's into the
+  // base, so the snapshot stays cumulative like the sums above.
+  if (sample.interval <= last_interval_) base_ = snap_;
+  last_interval_ = sample.interval;
+  snap_.jobs_dispatched = base_.jobs_dispatched + sample.jobs_dispatched;
+  snap_.jobs_completed = base_.jobs_completed + sample.jobs_completed;
+  snap_.jobs_requeued = base_.jobs_requeued + sample.jobs_requeued;
+  snap_.faults_injected = base_.faults_injected + sample.faults_injected;
 
   const auto day = static_cast<std::size_t>(sample.day);
   if (days_.size() <= day) days_.resize(day + 1);

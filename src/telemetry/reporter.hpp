@@ -85,6 +85,10 @@ class HealthReporter : public CampaignObserver {
 
   ReporterConfig cfg_;
   HealthSnapshot snap_;
+  /// The job and fault counts of the campaigns before the current one
+  /// (a sample's counts restart with its campaign).
+  HealthSnapshot base_;
+  std::int64_t last_interval_ = -1;
   std::vector<DayAccum> days_;
 };
 

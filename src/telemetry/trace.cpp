@@ -44,21 +44,6 @@ void append_value(std::string& out, double v) {
   out += buf;
 }
 
-void save_event(util::CkptWriter& w, const TraceEvent& ev) {
-  w.put_str(ev.category);
-  w.put_str(ev.name);
-  w.put_f64(ev.sim_begin_s);
-  w.put_f64(ev.sim_end_s);
-  w.put_i64(ev.wall_begin_us);
-  w.put_i64(ev.wall_end_us);
-  w.put_i32(ev.depth);
-  w.put_u64(ev.args.size());
-  for (const TraceEvent::Arg& a : ev.args) {
-    w.put_str(a.key);
-    w.put_f64(a.value);
-  }
-}
-
 }  // namespace
 
 Tracer::Tracer(std::size_t max_events) : max_events_(max_events) {}
@@ -154,60 +139,59 @@ std::size_t Tracer::settled() const {
   return n;
 }
 
+template <class Io, class Self>
+void Tracer::state_fields(Io& io, Self& self) {
+  util::ckpt_field(io, "tracer.dropped", self.dropped_);
+  util::ckpt_field(io, "tracer.depth", self.depth_);
+  util::ckpt_seq(io, "tracer.open_spans", self.open_, "tracer.open_span");
+}
+
+template <class Io, class Self, class Ev>
+void Tracer::event_fields(Io& io, Self& self, Ev& ev) {
+  self.interned(io, "tracer.category", ev.category);
+  self.interned(io, "tracer.name", ev.name);
+  util::ckpt_field(io, "tracer.sim_begin", ev.sim_begin_s);
+  util::ckpt_field(io, "tracer.sim_end", ev.sim_end_s);
+  util::ckpt_field(io, "tracer.wall_begin", ev.wall_begin_us);
+  util::ckpt_field(io, "tracer.wall_end", ev.wall_end_us);
+  util::ckpt_field(io, "tracer.event_depth", ev.depth);
+  util::ckpt_seq(io, "tracer.num_args", ev.args, [&self](Io& io2, auto& a) {
+    self.interned(io2, "tracer.arg_key", a.key);
+    util::ckpt_field(io2, "tracer.arg_value", a.value);
+  });
+}
+
 void Tracer::append_event(util::CkptReader& r) {
   TraceEvent ev;
-  ev.category = intern(r.read_str("tracer.category"));
-  ev.name = intern(r.read_str("tracer.name"));
-  ev.sim_begin_s = r.read_f64("tracer.sim_begin");
-  ev.sim_end_s = r.read_f64("tracer.sim_end");
-  ev.wall_begin_us = r.read_i64("tracer.wall_begin");
-  ev.wall_end_us = r.read_i64("tracer.wall_end");
-  ev.depth = r.read_i32("tracer.event_depth");
-  std::uint64_t na = r.read_u64("tracer.num_args");
-  for (std::uint64_t j = 0; j < na; ++j) {
-    const char* key = intern(r.read_str("tracer.arg_key"));
-    ev.args.push_back({key, r.read_f64("tracer.arg_value")});
-  }
+  event_fields(r, *this, ev);
   events_.push_back(std::move(ev));
 }
 
 void Tracer::save_ckpt(util::CkptWriter& w, std::size_t journaled) const {
-  w.put_u64(dropped_);
-  w.put_i32(depth_);
-  w.put_u64(open_.size());
-  for (std::size_t handle : open_) w.put_u64(handle);
+  state_fields(w, *this);
   w.put_u64(events_.size() - journaled);
   for (std::size_t i = journaled; i < events_.size(); ++i) {
-    save_event(w, events_[i]);
+    event_fields(w, *this, events_[i]);
   }
 }
 
 void Tracer::restore_ckpt(util::CkptReader& r) {
-  dropped_ = r.read_u64("tracer.dropped");
-  depth_ = r.read_i32("tracer.depth");
-  open_.clear();
-  const std::uint64_t num_open = r.read_u64("tracer.open_spans");
-  for (std::uint64_t i = 0; i < num_open; ++i) {
-    open_.push_back(static_cast<std::size_t>(r.read_u64("tracer.open_span")));
-  }
+  state_fields(r, *this);
   const std::uint64_t n = r.read_u64("tracer.events");
   for (std::uint64_t i = 0; i < n; ++i) append_event(r);
 }
 
 void Tracer::save_journal(util::CkptWriter& w, std::size_t from) const {
-  const std::size_t to = settled();
-  w.put_u64(from);
-  w.put_u64(to - from);
-  for (std::size_t i = from; i < to; ++i) save_event(w, events_[i]);
+  util::save_journal_section(w, from, settled(),
+                             [this](util::CkptWriter& w2, std::size_t i) {
+                               event_fields(w2, *this, events_[i]);
+                             });
 }
 
 void Tracer::replay_journal(util::CkptReader& r) {
-  if (util::journal_section_restarts(r.read_u64("tracer.events"),
-                                     events_.size(), "tracer.events")) {
-    events_.clear();
-  }
-  const std::uint64_t n = r.read_u64("tracer.events");
-  for (std::uint64_t i = 0; i < n; ++i) append_event(r);
+  util::replay_journal_section(
+      r, "tracer.events", events_.size(), [this] { events_.clear(); },
+      [this](util::CkptReader& r2) { append_event(r2); });
 }
 
 Span::Span(Tracer* tracer, const char* category, const char* name,

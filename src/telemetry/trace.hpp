@@ -98,6 +98,18 @@ class Tracer {
 
  private:
   const char* intern(const std::string& s);
+  /// Checkpoint fields of the counters and open spans, and of one event;
+  /// restoring interns the event's strings (defined in trace.cpp).
+  template <class Io, class Self>
+  static void state_fields(Io& io, Self& self);
+  template <class Io, class Self, class Ev>
+  static void event_fields(Io& io, Self& self, Ev& ev);
+  void interned(util::CkptWriter& w, const char*, const char* s) const {
+    w.put_str(s);
+  }
+  void interned(util::CkptReader& r, const char* what, const char*& s) {
+    s = intern(r.read_str(what));
+  }
   void append_event(util::CkptReader& r);
 
   std::vector<TraceEvent> events_;
@@ -132,21 +144,17 @@ class Span {
 
   /// Checkpoint support for long-lived spans (the driver's day span stays
   /// open across checkpoints): the handle and begin time round-trip, and
-  /// adopt_ckpt revives the span against the restored tracer, whose event
-  /// stream was rebuilt with identical handles.
-  void save_ckpt(util::CkptWriter& w) const {
-    w.put_u64(handle_);
-    w.put_f64(sim_begin_s_);
-    w.put_bool(open_);
+  /// adopt revives a restored span against the restored tracer, whose
+  /// event stream was rebuilt with identical handles.
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "span.handle", self.handle_);
+    util::ckpt_field(io, "span.sim_begin_s", self.sim_begin_s_);
+    util::ckpt_field(io, "span.open", self.open_);
   }
-  static Span adopt_ckpt(Tracer* tracer, util::CkptReader& r) {
-    Span s;
-    s.handle_ = static_cast<std::size_t>(r.read_u64("span.handle"));
-    s.sim_begin_s_ = r.read_f64("span.sim_begin_s");
-    const bool was_open = r.read_bool("span.open");
-    s.tracer_ = tracer;
-    s.open_ = was_open && tracer != nullptr;
-    return s;
+  void adopt(Tracer* tracer) {
+    tracer_ = tracer;
+    open_ = open_ && tracer != nullptr;
   }
 
  private:

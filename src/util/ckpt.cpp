@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -112,6 +113,12 @@ bool write_all(int fd, std::string_view data) {
 }
 
 }  // namespace
+
+void expect_residual(double v, const char* what) {
+  if (!(std::isfinite(v) && v >= 0.0)) {
+    throw CkptError(std::string(what) + ": negative or non-finite residual");
+  }
+}
 
 bool journal_section_restarts(std::uint64_t from, std::size_t have,
                               const char* what) {

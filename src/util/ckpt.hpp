@@ -15,11 +15,13 @@
 // under the real name.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace p2sim::util {
@@ -109,6 +111,140 @@ class CkptReader {
   std::size_t pos_ = 0;
 };
 
+/// Field walks.  A checkpointed type lists its fields once, in stream
+/// order, in a static member template
+///
+///   template <class Io, class Self>
+///   static void ckpt_fields(Io& io, Self& self);
+///
+/// that hands each field and its label to ckpt_field, ckpt_seq or
+/// ckpt_map.  The one list saves (Io = CkptWriter, Self const) and
+/// restores (Io = CkptReader), so the two directions cannot disagree.
+/// Restore-only steps (validation, derived state) follow the fields they
+/// need under `if constexpr (kRestoring<Io>)`.
+template <class Io>
+inline constexpr bool kRestoring = std::is_same_v<Io, CkptReader>;
+
+template <class T>
+concept CkptWalk = requires(CkptWriter& w, const T& v) {
+  T::ckpt_fields(w, v);
+};
+
+/// The tagged scalars, one overload pair per encoding.
+#define P2SIM_CKPT_SCALAR(Saved, Restored, suffix)                      \
+  inline void ckpt_scalar(CkptWriter& w, const char*, Saved v) {       \
+    w.put_##suffix(v);                                                 \
+  }                                                                    \
+  inline void ckpt_scalar(CkptReader& r, const char* what, Restored v) { \
+    v = r.read_##suffix(what);                                         \
+  }
+P2SIM_CKPT_SCALAR(bool, bool&, bool)
+P2SIM_CKPT_SCALAR(std::uint8_t, std::uint8_t&, u8)
+P2SIM_CKPT_SCALAR(std::uint32_t, std::uint32_t&, u32)
+P2SIM_CKPT_SCALAR(std::uint64_t, std::uint64_t&, u64)
+P2SIM_CKPT_SCALAR(std::int32_t, std::int32_t&, i32)
+P2SIM_CKPT_SCALAR(std::int64_t, std::int64_t&, i64)
+P2SIM_CKPT_SCALAR(double, double&, f64)
+P2SIM_CKPT_SCALAR(std::string_view, std::string&, str)
+#undef P2SIM_CKPT_SCALAR
+inline void ckpt_scalar(CkptReader& r, const char* what,
+                        std::vector<bool>::reference v) {
+  v = r.read_bool(what);
+}
+
+/// One field: a scalar (an enum as its underlying integer), a type with
+/// ckpt_fields (its walk), or any other range — a std::array, or a vector
+/// the config sizes before the read — element by element with no length.
+template <class Io, class T>
+void ckpt_field(Io& io, const char* what, T& v) {
+  using U = std::remove_const_t<T>;
+  if constexpr (CkptWalk<U>) {
+    U::ckpt_fields(io, v);
+  } else if constexpr (std::is_enum_v<U>) {
+    auto raw = static_cast<std::underlying_type_t<U>>(v);
+    ckpt_field(io, what, raw);
+    if constexpr (kRestoring<Io>) v = static_cast<U>(raw);
+  } else if constexpr (std::is_arithmetic_v<U> ||
+                       std::is_same_v<U, std::string> ||
+                       std::is_same_v<U, std::vector<bool>::reference>) {
+    ckpt_scalar(io, what, v);
+  } else {
+    for (auto&& e : v) ckpt_field(io, what, e);
+  }
+}
+
+/// An element of a sequence or map: `each` is its label, or a callable
+/// `each(io, element)` that walks it.
+template <class Io, class Each, class E>
+void ckpt_element(Io& io, Each& each, E& e) {
+  if constexpr (std::is_convertible_v<Each&, const char*>) {
+    ckpt_field(io, each, e);
+  } else {
+    each(io, e);
+  }
+}
+
+/// A vector or deque with its length: a u64 count labelled `what`, then
+/// the elements.  Restoring replaces the contents.
+template <class Io, class Seq, class Each>
+void ckpt_seq(Io& io, const char* what, Seq& seq, Each&& each) {
+  std::uint64_t n = seq.size();
+  ckpt_field(io, what, n);
+  if constexpr (kRestoring<Io>) {
+    seq.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ckpt_element(io, each, seq.emplace_back());
+    }
+  } else {
+    for (auto&& e : seq) ckpt_element(io, each, e);
+  }
+}
+
+/// A std::map: a u64 count labelled `what`, then per entry its key
+/// (labelled `key_what`) and its value.  Restoring replaces the contents.
+template <class Io, class Map, class Each>
+void ckpt_map(Io& io, const char* what, const char* key_what, Map& map,
+              Each&& each) {
+  std::uint64_t n = map.size();
+  ckpt_field(io, what, n);
+  if constexpr (kRestoring<Io>) {
+    map.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      typename Map::key_type key{};
+      ckpt_field(io, key_what, key);
+      typename Map::mapped_type value{};
+      ckpt_element(io, each, value);
+      map.emplace(std::move(key), std::move(value));
+    }
+  } else {
+    for (auto& [key, value] : map) {
+      ckpt_field(io, key_what, key);
+      ckpt_element(io, each, value);
+    }
+  }
+}
+
+/// Whole-object entry points for a type with ckpt_fields.
+template <CkptWalk T>
+void save_ckpt(CkptWriter& w, const T& v) {
+  T::ckpt_fields(w, v);
+}
+template <CkptWalk T>
+void restore_ckpt(CkptReader& r, T& v) {
+  T::ckpt_fields(r, v);
+}
+
+/// Throws CkptError naming `what` unless `v` is finite and non-negative.
+void expect_residual(double v, const char* what);
+
+/// A carried residual: a double field whose restore rejects a negative or
+/// non-finite value, which the carry arithmetic could not convert.
+template <class Io, class T>
+void ckpt_residual(Io& io, const char* what, T& v) {
+  ckpt_field(io, what, v);
+  if constexpr (kRestoring<Io>) expect_residual(v, what);
+}
+
 /// Journal sections (the append-only half of a campaign checkpoint, see
 /// src/workload/checkpoint.hpp): an append-only collection journals only
 /// what it gained since the previous frame, as a section holding its first
@@ -120,27 +256,44 @@ class CkptReader {
 bool journal_section_restarts(std::uint64_t from, std::size_t have,
                               const char* what);
 
-/// Writes the section of `items` from index `from` on.
-template <typename T>
+/// Writes the section of entries [from, to), entry i through `each(w, i)`.
+template <class Each>
+void save_journal_section(CkptWriter& w, std::size_t from, std::size_t to,
+                          Each&& each) {
+  w.put_u64(from);
+  w.put_u64(to - from);
+  for (std::size_t i = from; i < to; ++i) each(w, i);
+}
+
+/// Reads one section written by save_journal_section onto a collection of
+/// `have` entries: calls `restart()` when the section replaces them, then
+/// `each(r)` once per entry to append it.
+template <class Restart, class Each>
+void replay_journal_section(CkptReader& r, const char* what,
+                            std::size_t have, Restart&& restart,
+                            Each&& each) {
+  if (journal_section_restarts(r.read_u64(what), have, what)) restart();
+  const std::uint64_t n = r.read_u64(what);
+  for (std::uint64_t i = 0; i < n; ++i) each(r);
+}
+
+/// The section of `items` from index `from` on, each item its walk.
+template <CkptWalk T>
 void save_journal_section(CkptWriter& w, const std::vector<T>& items,
                           std::size_t from) {
-  w.put_u64(from);
-  w.put_u64(items.size() - from);
-  for (std::size_t i = from; i < items.size(); ++i) items[i].save_ckpt(w);
+  save_journal_section(w, from, items.size(),
+                       [&items](CkptWriter& w2, std::size_t i) {
+                         T::ckpt_fields(w2, items[i]);
+                       });
 }
 
 /// Appends one section written by save_journal_section to `items`.
-template <typename T>
+template <CkptWalk T>
 void replay_journal_section(CkptReader& r, std::vector<T>& items,
                             const char* what) {
-  if (journal_section_restarts(r.read_u64(what), items.size(), what)) {
-    items.clear();
-  }
-  const std::uint64_t n = r.read_u64(what);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    items.emplace_back();
-    items.back().restore_ckpt(r);
-  }
+  replay_journal_section(
+      r, what, items.size(), [&items] { items.clear(); },
+      [&items](CkptReader& r2) { T::ckpt_fields(r2, items.emplace_back()); });
 }
 
 /// Durable whole-file replacement: temp file + fsync + atomic rename +

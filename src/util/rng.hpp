@@ -15,13 +15,12 @@
 #include <span>
 
 #include "src/check/annotate.hpp"
-#include "src/util/ckpt.hpp"
 
 namespace p2sim::util {
 
-// Lane streams draw from these generators inside the parallel
-// region; every function here is pure state-in/state-out on the
-// generator object itself.
+// Parallel-region code draws from these generators (built by value in
+// the drawing function, or a measurement task's own core); every function
+// here is pure state-in/state-out on the generator object itself.
 P2SIM_PAR_SAFE_FILE;
 
 /// splitmix64: tiny generator used to expand a 64-bit seed into independent
@@ -119,20 +118,6 @@ class Xoshiro256StarStar {
   /// Derive an independent child generator; used to give each job / node /
   /// kernel its own stream so that adding a consumer never perturbs others.
   Xoshiro256StarStar split(std::uint64_t tag) noexcept;
-
-  /// Checkpoint support: the full generator state (four state words plus
-  /// the Box-Muller spare) round-trips exactly, so a restored stream
-  /// continues bit-identically to the uninterrupted one.
-  void save_ckpt(CkptWriter& w) const {
-    for (std::uint64_t s : state_) w.put_u64(s);
-    w.put_f64(spare_normal_);
-    w.put_bool(has_spare_);
-  }
-  void restore_ckpt(CkptReader& r) {
-    for (std::uint64_t& s : state_) s = r.read_u64("rng.state");
-    spare_normal_ = r.read_f64("rng.spare_normal");
-    has_spare_ = r.read_bool("rng.has_spare");
-  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

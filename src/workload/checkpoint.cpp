@@ -21,7 +21,7 @@ namespace {
 
 /// Generation magic: version bumps rename the last byte, so an old binary
 /// rejects a new checkpoint with "bad magic" instead of misparsing it.
-constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '5'};
+constexpr char kMagic[8] = {'P', '2', 'S', 'I', 'M', 'C', 'K', '6'};
 /// Generation header: magic, config hash, resume interval, journal bytes,
 /// journal chain, payload size, payload checksum, header checksum.
 constexpr std::size_t kHeaderSize = 64;
@@ -222,7 +222,6 @@ std::uint64_t config_fingerprint(const DriverConfig& cfg) {
   s.d(cfg.slump_depth_min);
   s.d(cfg.slump_depth_max);
   s.u(cfg.seed);
-  s.b(cfg.requeue_killed_jobs);
   // Fault schedule (a pure function of its config).
   s.b(cfg.faults.enabled);
   s.d(cfg.faults.node_crashes_per_node_day);

@@ -110,7 +110,7 @@ struct WorkloadDriver::CampaignState {
     const fault::FaultSchedule* view =
         inject.enabled() ? &inject.schedule() : nullptr;
     for (int i = 0; i < cfg.num_nodes; ++i) {
-      lanes.emplace_back(i, node_cfg, cfg.seed, view);
+      lanes.emplace_back(i, node_cfg, view);
     }
     shard_tallies.resize(static_cast<std::size_t>(pool.threads()));
     result.num_nodes = cfg.num_nodes;
@@ -132,17 +132,17 @@ struct WorkloadDriver::CampaignState {
     std::size_t trace_events = 0;  ///< settled trace events (telemetry on)
   };
 
-  /// Serializes the live campaign state at an interval boundary plus the
-  /// journal marks.  Only what the config cannot recompute is written: the
-  /// submission schedule and the registry are rebuilt from the config, per-
-  /// pass scratch and the worker pool are rewritten by the next pass, and
-  /// the append-only collections travel in the journal.  The restore side
-  /// runs after the journal prefix has been replayed: it checks the
-  /// replayed collections against the marks, re-resolves the profile/
-  /// signature pointers and rebuilds node_job, then demands the stream be
-  /// fully consumed.
-  void save_ckpt(util::CkptWriter& w) const;
-  void restore_ckpt(util::CkptReader& r);
+  /// Checkpoint fields: the live campaign state at an interval boundary
+  /// plus the journal marks.  Only what the config cannot recompute is
+  /// written: the submission schedule and the registry are rebuilt from
+  /// the config, per-pass scratch and the worker pool are rewritten by the
+  /// next pass, and the append-only collections travel in the journal.  A
+  /// restore runs after the journal prefix has been replayed; after the
+  /// fields it checks the replayed collections against the marks,
+  /// re-resolves the profile/signature pointers and rebuilds node_job, then
+  /// demands the stream be fully consumed.
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self);
   /// Writes one journal frame: what each append-only collection gained
   /// since `journaled`.  Returns the marks the frame advances them to.
   JournalMarks save_journal_frame(util::CkptWriter& w) const;
@@ -255,58 +255,102 @@ struct WorkloadDriver::CampaignState {
   int busy_now = 0;
 };
 
-void WorkloadDriver::CampaignState::save_ckpt(util::CkptWriter& w) const {
-  w.put_u64(journaled.intervals);
-  w.put_u64(journaled.jobs);
-  w.put_u64(journaled.signatures);
-  w.put_u64(journaled.trace_events);
-  w.put_i64(t);
-  w.put_i64(jobs_dispatched);
-  w.put_i64(jobs_completed);
-  w.put_i64(jobs_requeued);
-  for (std::int64_t until : down_until) w.put_i64(until);
-  w.put_u64(attempts.size());
-  for (const auto& [id, attempt] : attempts) {
-    w.put_i64(id);
-    w.put_i32(attempt);
+template <class Io, class Self>
+void WorkloadDriver::CampaignState::ckpt_fields(Io& io, Self& self) {
+  util::ckpt_field(io, "campaign.journaled_intervals",
+                   self.journaled.intervals);
+  util::ckpt_field(io, "campaign.journaled_jobs", self.journaled.jobs);
+  util::ckpt_field(io, "campaign.journaled_signatures",
+                   self.journaled.signatures);
+  util::ckpt_field(io, "campaign.journaled_trace_events",
+                   self.journaled.trace_events);
+  util::ckpt_field(io, "campaign.t", self.t);
+  util::ckpt_field(io, "campaign.jobs_dispatched", self.jobs_dispatched);
+  util::ckpt_field(io, "campaign.jobs_completed", self.jobs_completed);
+  util::ckpt_field(io, "campaign.jobs_requeued", self.jobs_requeued);
+  util::ckpt_field(io, "campaign.down_until", self.down_until);
+  util::ckpt_map(io, "campaign.attempts", "campaign.attempt_id",
+                 self.attempts, "campaign.attempt_count");
+  util::ckpt_field(io, "campaign.sched", self.sched);
+  util::ckpt_field(io, "campaign.signatures", self.signatures);
+  util::ckpt_field(io, "campaign.jobmon", self.jobmon);
+  util::ckpt_field(io, "campaign.nfs", self.nfs);
+  util::ckpt_field(io, "campaign.inject", self.inject);
+  std::uint64_t num_lanes = self.lanes.size();
+  util::ckpt_field(io, "campaign.lanes", num_lanes);
+  if (num_lanes != self.lanes.size()) {
+    throw util::CkptError("campaign.lanes: node count mismatch");
   }
-  sched.save_ckpt(w);
-  signatures.save_ckpt(w);
-  jobmon.save_ckpt(w);
-  nfs.save_ckpt(w);
-  inject.save_ckpt(w);
-  w.put_u64(lanes.size());
-  for (const NodeLane& lane : lanes) {
-    lane.node.save_ckpt(w);
-    lane.rng.save_ckpt(w);
-    lane.baseline.save_ckpt(w);
+  util::ckpt_field(io, "campaign.lane", self.lanes);
+  // The running jobs, without their keys: each spec carries its job id.
+  std::uint64_t num_running = self.running.size();
+  util::ckpt_field(io, "campaign.running", num_running);
+  if constexpr (util::kRestoring<Io>) {
+    self.running.clear();
+    for (std::uint64_t i = 0; i < num_running; ++i) {
+      Running rj;
+      util::ckpt_field(io, "campaign.job", rj);
+      self.running.emplace(rj.spec.job_id, std::move(rj));
+    }
+  } else {
+    for (const auto& entry : self.running) {
+      util::ckpt_field(io, "campaign.job", entry.second);
+    }
   }
-  w.put_u64(running.size());
-  for (const auto& [id, r] : running) {
-    r.spec.save_ckpt(w);
-    w.put_u64(r.nodes.size());
-    for (int n : r.nodes) w.put_i32(n);
-    w.put_f64(r.start_s);
-    w.put_f64(r.end_s);
-    w.put_bool(r.has_prologue);
-    w.put_i32(r.attempt);
-  }
-  w.put_f64(result.total_busy_node_seconds);
+  util::ckpt_field(io, "campaign.busy_node_seconds",
+                   self.result.total_busy_node_seconds);
   // Telemetry rides along as a nested length-prefixed blob so a session
   // without telemetry can skip it wholesale (the blob is still read, so
   // the stream stays in sync).
-  const telemetry::Session* tel = telemetry::current();
-  w.put_bool(tel != nullptr);
-  {
-    util::CkptWriter nested;
+  auto* tel = telemetry::current();
+  bool has_telemetry = tel != nullptr;
+  util::ckpt_field(io, "campaign.has_telemetry", has_telemetry);
+  std::string blob;
+  if constexpr (!util::kRestoring<Io>) {
     if (tel != nullptr) {
+      util::CkptWriter nested;
       nested.put_f64(tel->engine_clock_s);
       tel->registry.save_ckpt(nested);
-      tel->tracer.save_ckpt(nested, journaled.trace_events);
+      tel->tracer.save_ckpt(nested, self.journaled.trace_events);
+      blob = nested.bytes();
     }
-    w.put_str(nested.bytes());
   }
-  day_span.save_ckpt(w);
+  util::ckpt_field(io, "campaign.telemetry_blob", blob);
+  util::ckpt_field(io, "campaign.day_span", self.day_span);
+  if constexpr (util::kRestoring<Io>) {
+    if (self.daemon.records().size() != self.journaled.intervals ||
+        self.result.jobs.size() != self.journaled.jobs ||
+        self.signatures.size() != self.journaled.signatures) {
+      throw util::CkptError(
+          "campaign.journaled: the journal prefix and the generation "
+          "disagree on the append-only collection sizes");
+    }
+    // Pointer re-resolution: profiles live in the rebuilt registry and
+    // signatures in the restored cache, so the map lookups reproduce the
+    // original pointers' referents exactly.
+    std::fill(self.node_job.begin(), self.node_job.end(), nullptr);
+    for (auto& [id, rj] : self.running) {
+      rj.profile = &self.registry.get(rj.spec.profile_id);
+      rj.sig = &self.signatures.get(rj.profile->kernel);
+      for (int n : rj.nodes) {
+        self.node_job[static_cast<std::size_t>(n)] = &rj;
+      }
+    }
+    if (has_telemetry && tel != nullptr) {
+      if (tel->tracer.events().size() != self.journaled.trace_events) {
+        throw util::CkptError(
+            "campaign.journaled_trace_events: the journal prefix and the "
+            "generation disagree on the trace event count");
+      }
+      util::CkptReader nested(blob);
+      tel->engine_clock_s = nested.read_f64("campaign.engine_clock_s");
+      tel->registry.restore_ckpt(nested);
+      tel->tracer.restore_ckpt(nested);
+      nested.expect_end("campaign.telemetry_blob");
+    }
+    self.day_span.adopt(tel != nullptr ? &tel->tracer : nullptr);
+    io.expect_end("campaign");
+  }
 }
 
 WorkloadDriver::CampaignState::JournalMarks
@@ -316,7 +360,7 @@ WorkloadDriver::CampaignState::save_journal_frame(util::CkptWriter& w) const {
   signatures.save_journal(w, journaled.signatures);
   JournalMarks next{daemon.records().size(), result.jobs.size(),
                     signatures.size(), 0};
-  // Trace events ride in a nested blob, as in save_ckpt.
+  // Trace events ride in a nested blob, as in ckpt_fields.
   const telemetry::Session* tel = telemetry::current();
   w.put_bool(tel != nullptr);
   util::CkptWriter nested;
@@ -342,91 +386,6 @@ void WorkloadDriver::CampaignState::replay_journal_frame(
     nested.expect_end("journal.telemetry_blob");
   }
   r.expect_end("journal frame");
-}
-
-void WorkloadDriver::CampaignState::restore_ckpt(util::CkptReader& r) {
-  journaled.intervals = r.read_u64("campaign.journaled_intervals");
-  journaled.jobs = r.read_u64("campaign.journaled_jobs");
-  journaled.signatures = r.read_u64("campaign.journaled_signatures");
-  journaled.trace_events = r.read_u64("campaign.journaled_trace_events");
-  if (daemon.records().size() != journaled.intervals ||
-      result.jobs.size() != journaled.jobs ||
-      signatures.size() != journaled.signatures) {
-    throw util::CkptError(
-        "campaign.journaled: the journal prefix and the generation "
-        "disagree on the append-only collection sizes");
-  }
-  t = r.read_i64("campaign.t");
-  jobs_dispatched = r.read_i64("campaign.jobs_dispatched");
-  jobs_completed = r.read_i64("campaign.jobs_completed");
-  jobs_requeued = r.read_i64("campaign.jobs_requeued");
-  for (std::int64_t& until : down_until) {
-    until = r.read_i64("campaign.down_until");
-  }
-  attempts.clear();
-  std::uint64_t num_attempts = r.read_u64("campaign.attempts");
-  for (std::uint64_t i = 0; i < num_attempts; ++i) {
-    const std::int64_t id = r.read_i64("campaign.attempt_id");
-    attempts[id] = r.read_i32("campaign.attempt_count");
-  }
-  sched.restore_ckpt(r);
-  signatures.restore_ckpt(r);
-  jobmon.restore_ckpt(r);
-  nfs.restore_ckpt(r);
-  inject.restore_ckpt(r);
-  const std::uint64_t num_lanes = r.read_u64("campaign.lanes");
-  if (num_lanes != lanes.size()) {
-    throw util::CkptError("campaign.lanes: node count mismatch");
-  }
-  for (NodeLane& lane : lanes) {
-    lane.node.restore_ckpt(r);
-    lane.rng.restore_ckpt(r);
-    lane.baseline.restore_ckpt(r);
-  }
-  running.clear();
-  std::fill(node_job.begin(), node_job.end(), nullptr);
-  const std::uint64_t num_running = r.read_u64("campaign.running");
-  for (std::uint64_t i = 0; i < num_running; ++i) {
-    Running rj;
-    rj.spec.restore_ckpt(r);
-    const std::uint64_t num_held = r.read_u64("campaign.job_nodes");
-    rj.nodes.resize(static_cast<std::size_t>(num_held));
-    for (int& n : rj.nodes) n = r.read_i32("campaign.job_node");
-    rj.start_s = r.read_f64("campaign.job_start_s");
-    rj.end_s = r.read_f64("campaign.job_end_s");
-    rj.has_prologue = r.read_bool("campaign.job_has_prologue");
-    rj.attempt = r.read_i32("campaign.job_attempt");
-    running.emplace(rj.spec.job_id, std::move(rj));
-  }
-  // Pointer re-resolution: profiles live in the rebuilt registry and
-  // signatures in the restored cache, so the map lookups reproduce the
-  // original pointers' referents exactly.
-  for (auto& [id, rj] : running) {
-    rj.profile = &registry.get(rj.spec.profile_id);
-    rj.sig = &signatures.get(rj.profile->kernel);
-    for (int n : rj.nodes) {
-      node_job[static_cast<std::size_t>(n)] = &rj;
-    }
-  }
-  result.total_busy_node_seconds = r.read_f64("campaign.busy_node_seconds");
-  telemetry::Session* tel = telemetry::current();
-  const bool saved_telemetry = r.read_bool("campaign.has_telemetry");
-  const std::string blob = r.read_str("campaign.telemetry_blob");
-  if (saved_telemetry && tel != nullptr) {
-    if (tel->tracer.events().size() != journaled.trace_events) {
-      throw util::CkptError(
-          "campaign.journaled_trace_events: the journal prefix and the "
-          "generation disagree on the trace event count");
-    }
-    util::CkptReader nested(blob);
-    tel->engine_clock_s = nested.read_f64("campaign.engine_clock_s");
-    tel->registry.restore_ckpt(nested);
-    tel->tracer.restore_ckpt(nested);
-    nested.expect_end("campaign.telemetry_blob");
-  }
-  day_span = telemetry::Span::adopt_ckpt(
-      tel != nullptr ? &tel->tracer : nullptr, r);
-  r.expect_end("campaign");
 }
 
 void WorkloadDriver::phase_day_rollover(CampaignState& st) {
@@ -464,19 +423,19 @@ void WorkloadDriver::phase_faults(CampaignState& st) {
         for (int held : r.nodes) {
           st.node_job[static_cast<std::size_t>(held)] = nullptr;
         }
-        if (cfg_.requeue_killed_jobs) {
-          pbs::JobSpec respec = r.spec;
-          respec.submit_time_s = st.now;
-          ++st.attempts[id];
-          st.sched.submit(respec);
-          st.inject.note_job_requeued();
-          ++st.jobs_requeued;
-          if (auto* tel = telemetry::current()) {
-            tel->registry
-                .counter("p2sim_driver_jobs_requeued_total",
-                         "Crash-killed jobs resubmitted by PBS")
-                .inc();
-          }
+        // PBS requeues the killed job; the killed run keeps its
+        // incomplete accounting record.
+        pbs::JobSpec respec = r.spec;
+        respec.submit_time_s = st.now;
+        ++st.attempts[id];
+        st.sched.submit(respec);
+        st.inject.note_job_requeued();
+        ++st.jobs_requeued;
+        if (auto* tel = telemetry::current()) {
+          tel->registry
+              .counter("p2sim_driver_jobs_requeued_total",
+                       "Crash-killed jobs resubmitted by PBS")
+              .inc();
         }
         st.running.erase(id);
       }
@@ -941,7 +900,7 @@ std::int64_t WorkloadDriver::try_resume(CampaignState& st) {
     st.replay_journal_frame(r);
   }
   util::CkptReader r(img->payload);
-  st.restore_ckpt(r);
+  util::restore_ckpt(r, st);
   // Appends continue from the loaded prefix; a failure here only means
   // the next checkpoint starts a fresh journal.
   std::string error;
@@ -978,7 +937,7 @@ void WorkloadDriver::maybe_checkpoint(CampaignState& st) {
   }
   if (ok) {
     util::CkptWriter w;
-    st.save_ckpt(w);
+    util::save_ckpt(w, st);
     ok = write_checkpoint(ck.dir, fingerprint, next_t, st.journal.pos(),
                           w.bytes(), ck.keep, &error);
   }

@@ -97,9 +97,6 @@ struct DriverConfig {
   /// bit-identical to one run before the fault subsystem existed, because
   /// the schedule never touches the driver's RNG streams).
   fault::FaultConfig faults{};
-  /// Resubmit jobs killed by a node crash (PBS requeue semantics); the
-  /// killed run still produces an incomplete accounting record.
-  bool requeue_killed_jobs = true;
 
   /// Live pipeline-health sink, called once per interval after the daemon
   /// sample.  Pure read-side: installing one never perturbs the campaign
@@ -236,6 +233,18 @@ class WorkloadDriver {
     /// Which run of this job id this is (requeues bump it so the fault
     /// schedule draws fresh prologue/epilogue outcomes per attempt).
     int attempt = 0;
+
+    /// Checkpoint fields; a restore re-resolves `profile` and `sig`.
+    template <class Io, class Self>
+    static void ckpt_fields(Io& io, Self& self) {
+      util::ckpt_field(io, "campaign.job_spec", self.spec);
+      util::ckpt_seq(io, "campaign.job_nodes", self.nodes,
+                     "campaign.job_node");
+      util::ckpt_field(io, "campaign.job_start_s", self.start_s);
+      util::ckpt_field(io, "campaign.job_end_s", self.end_s);
+      util::ckpt_field(io, "campaign.job_has_prologue", self.has_prologue);
+      util::ckpt_field(io, "campaign.job_attempt", self.attempt);
+    }
   };
 
   /// All campaign state, owned for the duration of run() (defined in

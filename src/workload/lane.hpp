@@ -4,8 +4,8 @@
 // (util::TaskPool, static sharding), each lane draining a whole horizon of
 // intervals end-to-end.  The determinism and data-race story both reduce to
 // one ownership rule: inside the parallel region a worker reads and writes
-// exactly one lane at a time — the Node with its counters, the lane's
-// private RNG stream and its read-only fault view — plus two per-pass
+// exactly one lane at a time — the Node with its counters, its probe
+// baseline and its read-only fault view — plus two per-pass
 // outputs: its own shard's ProbeTally row (one tally per horizon offset,
 // shared by the shard's lanes and by no other worker) and the lane's own
 // busy-seconds slot per offset.  Everything else it reads is immutable
@@ -19,12 +19,15 @@
 // (telemetry::tree_fold), so campaign results are bit-identical for every
 // thread count.
 //
-// RNG ownership: the lane stream is seeded from (campaign seed, node id)
-// through splitmix64 — never from the master stream, whose draw sequence
-// belongs to the serial schedule build, and never from iteration order.
-// Any future per-node stochastic effect (OS-noise jitter, local
-// degradation) must draw from lane.rng so that adding it, or changing the
-// thread count, perturbs nothing else.
+// RNG ownership: a lane holds no random stream.  The master stream belongs
+// to the serial schedule build, and the lanes' only stochastic input, the
+// fault view, answers each query from a generator built by value from the
+// query's own coordinates (FaultSchedule::draw).  A future per-node
+// stochastic effect (OS-noise jitter, local degradation) must draw the
+// same way — a generator built in the drawing function from (seed, node,
+// interval) — so that adding it, or changing the thread count, perturbs
+// nothing else; tools/detlint.py rule 4 rejects any other draw inside the
+// parallel closure.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +39,6 @@
 #include "src/fault/fault.hpp"
 #include "src/power2/signature.hpp"
 #include "src/rs2hpm/snapshot.hpp"
-#include "src/util/rng.hpp"
 
 namespace p2sim::workload {
 
@@ -93,19 +95,11 @@ struct ProbeTally {
 /// lane-pipeline phase.
 class NodeLane {
  public:
-  /// `rng_seed` is the campaign seed; the lane derives its private stream
-  /// from (rng_seed, id) so streams are keyed to the node, not to order.
-  ///
   /// The probe baseline starts at zero: a fresh node's counters are
   /// all-zero, so its first probe is a clean delta like any other.
-  NodeLane(int id, const cluster::NodeConfig& cfg, std::uint64_t rng_seed,
+  NodeLane(int id, const cluster::NodeConfig& cfg,
            const fault::FaultSchedule* fault_view)
-      : node(id, cfg),
-        rng(util::SplitMix64(rng_seed ^
-                             (0x9e3779b97f4a7c15ULL *
-                              (static_cast<std::uint64_t>(id) + 1)))
-                .next()),
-        fault_view(fault_view) {}
+      : node(id, cfg), fault_view(fault_view) {}
 
   /// The parallel-region body: advance this lane's node through one
   /// interval according to `step`, exactly as the serial driver did —
@@ -189,8 +183,6 @@ class NodeLane {
   }
 
   cluster::Node node;
-  /// Lane-private RNG stream (see the ownership rule above).
-  util::Xoshiro256StarStar rng;
   /// Read-only view of the deterministic fault schedule: lanes may query
   /// it (stateless, keyed draws) but never log through the injector —
   /// fault accounting is a serial-phase concern.  Null when faults are off.
@@ -203,6 +195,14 @@ class NodeLane {
 
   /// Lane-owned daemon baseline: the node's values at its last probe.
   rs2hpm::NodeSample baseline;
+
+  /// Checkpoint fields: the node and the baseline (the fault view and the
+  /// per-pass step are rebuilt, not saved).
+  template <class Io, class Self>
+  static void ckpt_fields(Io& io, Self& self) {
+    util::ckpt_field(io, "lane.node", self.node);
+    util::ckpt_field(io, "lane.baseline", self.baseline);
+  }
 };
 
 }  // namespace p2sim::workload

@@ -117,9 +117,9 @@ void expect_identical(const Node& fast, const Node& ref,
   // The checkpoint bytes hold everything a restored node carries on with,
   // the five event residuals included, each double bit for bit.
   util::CkptWriter fast_ckpt;
-  fast.save_ckpt(fast_ckpt);
+  util::save_ckpt(fast_ckpt, fast);
   util::CkptWriter ref_ckpt;
-  ref.save_ckpt(ref_ckpt);
+  util::save_ckpt(ref_ckpt, ref);
   EXPECT_EQ(fast_ckpt.bytes(), ref_ckpt.bytes()) << where << ": checkpoint";
 }
 
@@ -248,11 +248,11 @@ struct Carried {
 };
 
 /// Restores `node` from its own checkpoint with the carried state
-/// replaced: Node::save_ckpt ends with the DMA engine, the quad total,
+/// replaced: a node's checkpoint ends with the DMA engine, the quad total,
 /// busy_seconds, the up flag and the five residuals.
 void restore_carried(Node& node, const Carried& c) {
   util::CkptWriter full;
-  node.save_ckpt(full);
+  util::save_ckpt(full, node);
   util::CkptWriter tail;
   tail.put_f64(c.pending_read);
   tail.put_f64(c.pending_write);
@@ -265,7 +265,7 @@ void restore_carried(Node& node, const Carried& c) {
   const std::string bytes =
       full.bytes().substr(0, full.size() - tail.size()) + tail.bytes();
   util::CkptReader r(bytes);
-  node.restore_ckpt(r);
+  util::restore_ckpt(r, node);
 }
 
 /// A per-slice amount from a menu of the guard's edge cases, below about
@@ -438,7 +438,7 @@ TEST(AccrualEquivalence, CarryGuardLongCampaignRuns) {
 // pin down which one the campaign's node-intervals take.
 std::string ckpt_bytes(const Node& node) {
   util::CkptWriter w;
-  node.save_ckpt(w);
+  util::save_ckpt(w, node);
   return w.bytes();
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "src/util/ckpt.hpp"
+
 namespace p2sim::cluster {
 namespace {
 
@@ -13,6 +18,37 @@ TEST(DmaConfig, TransferSizeMixesFourAndEightWords) {
                    64.0);
   EXPECT_DOUBLE_EQ(DmaConfig{.eight_word_fraction = 0.5}.avg_transfer_bytes(),
                    48.0);
+}
+
+/// A DMA checkpoint: pending read/write bytes, then the lifetime totals.
+std::string dma_ckpt(double pending_read, double pending_write) {
+  util::CkptWriter w;
+  w.put_f64(pending_read);
+  w.put_f64(pending_write);
+  w.put_f64(1000.0);
+  w.put_f64(2000.0);
+  return w.bytes();
+}
+
+TEST(DmaEngine, RestoreRejectsNegativeOrNonFinitePendingBytes) {
+  {
+    DmaEngine e;
+    const std::string good = dma_ckpt(10.0, 20.0);
+    util::CkptReader r(good);
+    ASSERT_NO_THROW(util::restore_ckpt(r, e));
+    EXPECT_EQ(e.pending_read_bytes(), 10.0);
+    EXPECT_EQ(e.pending_write_bytes(), 20.0);
+    EXPECT_EQ(e.total_write_bytes(), 2000.0);
+  }
+  // take_transfers would floor a negative quotient into uint64_t.
+  for (const double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (const std::string& bytes : {dma_ckpt(bad, 0.0), dma_ckpt(0.0, bad)}) {
+      DmaEngine e;
+      util::CkptReader r(bytes);
+      EXPECT_THROW(util::restore_ckpt(r, e), util::CkptError) << bad;
+    }
+  }
 }
 
 TEST(DmaEngine, ConvertsBytesToTransfers) {

@@ -60,12 +60,12 @@ TEST(Node, RestoreRejectsDoctoredResidual) {
   Node n(0);
   n.advance_idle(900.0);
   util::CkptWriter w;
-  n.save_ckpt(w);
+  util::save_ckpt(w, n);
   const std::string good = w.bytes();
   {
     Node restored(0);
     util::CkptReader r(good);
-    EXPECT_NO_THROW(restored.restore_ckpt(r));
+    EXPECT_NO_THROW(util::restore_ckpt(r, restored));
   }
   // The payload ends with the five residuals, each a tag byte and eight
   // little-endian bytes.
@@ -81,7 +81,7 @@ TEST(Node, RestoreRejectsDoctoredResidual) {
       }
       Node restored(0);
       util::CkptReader r(doctored);
-      EXPECT_THROW(restored.restore_ckpt(r), util::CkptError)
+      EXPECT_THROW(util::restore_ckpt(r, restored), util::CkptError)
           << "residual " << k << " from the end = " << bad;
     }
   }

@@ -36,8 +36,7 @@ class Fleet {
   explicit Fleet(int nodes) {
     lanes_.reserve(static_cast<std::size_t>(nodes));
     for (int i = 0; i < nodes; ++i) {
-      lanes_.emplace_back(i, cluster::NodeConfig{}, /*rng_seed=*/1,
-                          /*fault_view=*/nullptr);
+      lanes_.emplace_back(i, cluster::NodeConfig{}, /*fault_view=*/nullptr);
     }
   }
 

@@ -103,10 +103,10 @@ TEST(NodeSample, CheckpointRoundTrips) {
   NodeSample s = sample_with_user0(123, 45);
   s.totals.system[7] = 6;
   util::CkptWriter w;
-  s.save_ckpt(w);
+  util::save_ckpt(w, s);
   NodeSample back;
   util::CkptReader r(w.bytes());
-  back.restore_ckpt(r);
+  util::restore_ckpt(r, back);
   r.expect_end("node sample");
   EXPECT_EQ(back.totals, s.totals);
   EXPECT_EQ(back.quad, s.quad);

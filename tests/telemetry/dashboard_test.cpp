@@ -114,6 +114,48 @@ TEST(Dashboard, JobTalliesMatchTheCampaign) {
   EXPECT_LE(still_running, obs.result.jobs_open_at_end);
 }
 
+/// Hands every interval to a campaign-wide and a per-campaign reporter.
+struct TeeObserver : telemetry::CampaignObserver {
+  telemetry::HealthReporter* all = nullptr;
+  telemetry::HealthReporter* one = nullptr;
+  void on_interval(const telemetry::HealthSample& sample) override {
+    all->on_interval(sample);
+    one->on_interval(sample);
+  }
+};
+
+TEST(Dashboard, JobAndFaultCountsAccumulateAcrossCampaigns) {
+  // p2sim_monitord keeps one reporter across campaigns for /healthz: every
+  // count in its snapshot must be the sum over the campaigns it saw.
+  telemetry::HealthReporter all;
+  std::vector<telemetry::HealthSnapshot> per_campaign;
+  for (const std::uint64_t seed : {11u, 12u}) {
+    core::Sp2Config cfg = core::Sp2Config::small(/*days=*/4, /*nodes=*/8);
+    cfg.faults() = fault::FaultConfig::reference();
+    cfg.faults().node_crashes_per_node_day = 0.5;
+    cfg.driver.seed = seed;
+    telemetry::HealthReporter one;
+    TeeObserver tee;
+    tee.all = &all;
+    tee.one = &one;
+    cfg.driver.observer = &tee;
+    (void)workload::run_campaign(cfg.driver);
+    per_campaign.push_back(one.snapshot());
+  }
+  const telemetry::HealthSnapshot& a = per_campaign[0];
+  const telemetry::HealthSnapshot& b = per_campaign[1];
+  ASSERT_GT(a.jobs_requeued, 0);
+  ASSERT_GT(b.faults_injected, 0);
+  const telemetry::HealthSnapshot& sum = all.snapshot();
+  EXPECT_EQ(sum.intervals_seen, a.intervals_seen + b.intervals_seen);
+  EXPECT_EQ(sum.node_samples_clean,
+            a.node_samples_clean + b.node_samples_clean);
+  EXPECT_EQ(sum.jobs_dispatched, a.jobs_dispatched + b.jobs_dispatched);
+  EXPECT_EQ(sum.jobs_completed, a.jobs_completed + b.jobs_completed);
+  EXPECT_EQ(sum.jobs_requeued, a.jobs_requeued + b.jobs_requeued);
+  EXPECT_EQ(sum.faults_injected, a.faults_injected + b.faults_injected);
+}
+
 TEST(Dashboard, StreamsOneLinePerStride) {
   std::ostringstream stream;
   core::Sp2Config cfg = core::Sp2Config::small(/*days=*/3, /*nodes=*/8);

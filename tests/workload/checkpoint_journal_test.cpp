@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/util/checksum.hpp"
 #include "src/workload/checkpoint.hpp"
 #include "tests/workload/campaign_fingerprint.hpp"
 
@@ -126,6 +127,58 @@ TEST(CheckpointJournal, ResumeCutsFramesNoGenerationReferences) {
   const CheckpointImage newest = decode_checkpoint_file(bytes.str());
   EXPECT_EQ(static_cast<std::uint64_t>(file_size(journal_path)),
             newest.journal_pos.bytes);
+  fs::remove_all(dir);
+}
+
+std::uint64_t file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return util::fnv1a64(bytes.str());
+}
+
+TEST(CheckpointJournal, LayoutIsPinned) {
+  // The FNV-64 digests of a fixed campaign's newest generation and journal
+  // pin the checkpoint layout: a change to any checkpointed type's fields
+  // (or their order) moves them, even when save and restore still agree.
+  // A deliberate layout change bumps kMagic (generation) or kJournalMagic
+  // (journal) in src/workload/checkpoint.cpp; update these digests
+  // together with the magic.
+  //
+  // Telemetry is on, so the registry and tracer walks are pinned too.
+  // Nothing pinned may depend on wall time: a first run warms the
+  // signature store, so the pinned run measures no kernel (the core's
+  // wall-clock throughput histogram stays empty), and the trace keeps no
+  // events (each carries its wall-clock window), only its counters.
+  const std::string dir = testing::TempDir() + "p2sim_layout_pinned";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  DriverConfig cfg = small_config(2, 8);
+  cfg.jobgen.node_choices = {1, 2, 4, 8};
+  cfg.jobgen.node_weights = {4, 3, 6, 14};
+  cfg.faults = fault::FaultConfig::reference();
+  cfg.faults.node_crashes_per_node_day = 0.5;
+  cfg.signature_store_path = dir + "/store.sig";
+  (void)run_campaign(cfg);
+
+  cfg.checkpoint.dir = dir + "/ck";
+  cfg.checkpoint.every_intervals = 24;
+  telemetry::Session session({.max_trace_events = 0});
+  {
+    telemetry::ScopedSession scoped(session);
+    const CampaignResult result = run_campaign(cfg);
+    ASSERT_GT(result.faults.jobs_requeued, 0);
+    ASSERT_EQ(result.signature_stats.measured, 0u);
+  }
+  const auto gens = list_checkpoints(cfg.checkpoint.dir);
+  ASSERT_FALSE(gens.empty());
+  EXPECT_EQ(gens.back(), checkpoint_file_name(168));
+  const std::uint64_t generation =
+      file_digest(cfg.checkpoint.dir + "/" + gens.back());
+  const std::uint64_t journal =
+      file_digest(cfg.checkpoint.dir + "/" + kJournalFile);
+  EXPECT_EQ(generation, 0x3ed916af48616f66ULL) << std::hex << generation;
+  EXPECT_EQ(journal, 0x1faed101e8a701a3ULL) << std::hex << journal;
   fs::remove_all(dir);
 }
 

@@ -196,9 +196,10 @@ TEST(CheckpointRestart, CorruptNewestGenerationFallsBackWithReason) {
 TEST(CheckpointRestart, OldGenerationMagicIsRefusedCleanly) {
   // Generations written by earlier layouts must be refused by name, and
   // the campaign must then run from scratch, byte-identical to a fresh
-  // run: P2SIMCK3 still carried the daemon's baselines, and P2SIMCK4 the
+  // run: P2SIMCK3 still carried the daemon's baselines, P2SIMCK4 the
   // master stream, the pending arrivals, the job generator and the
-  // registry's id counter, which the config now recomputes.
+  // registry's id counter, which the config now recomputes, and P2SIMCK5
+  // a random stream per node lane that nothing drew from.
   const std::string src = fresh_dir("p2sim_ck_old_magic_src");
   DriverConfig cfg = ck_config();
   cfg.checkpoint.dir = src;
@@ -206,9 +207,9 @@ TEST(CheckpointRestart, OldGenerationMagicIsRefusedCleanly) {
   const auto gens = list_checkpoints(src);
   ASSERT_FALSE(gens.empty());
   const std::string current = read_file(src + "/" + gens.back());
-  ASSERT_EQ(current.compare(0, 8, "P2SIMCK5"), 0);
+  ASSERT_EQ(current.compare(0, 8, "P2SIMCK6"), 0);
 
-  for (const char* old_magic : {"P2SIMCK3", "P2SIMCK4"}) {
+  for (const char* old_magic : {"P2SIMCK3", "P2SIMCK4", "P2SIMCK5"}) {
     // The newest generation alone on its journal, with the old magic and
     // a header checksum that matches it, so the magic is the only thing
     // wrong with the generation.

@@ -28,9 +28,11 @@ P2SIM_GUARDED_BY, P2SIM_ORDERED_FOLD).  Four rule families:
      P2SIM_GUARDED_BY annotations must agree with the manifest's guards
      lists in both directions.
   4. RNG stream discipline: code reachable from a parallel phase may only
-     draw from a NodeLane-owned RNG stream (`rng` on the lane, or a
-     `<lane>.rng` chain whose base is a NodeLane) -- never the driver's
-     master stream or any other shared stream.
+     draw from a generator built by value in the drawing function itself
+     (FaultSchedule::draw's keyed one-shot generator) or from Power2Core's
+     rng_ (a fresh core per measurement task) -- never from a stream held
+     by a lane, the driver's master stream or any other stream that
+     outlives the call.
 
 The call graph is a regex-level approximation (no compiler): receivers
 are resolved through per-class member-type and per-function
@@ -853,26 +855,15 @@ def check_rng_discipline(tree: Tree) -> list[str]:
             # is task-local and seeded deterministically from the config.
             if not ok and parts == ["rng_"]:
                 ok = ctx is not None and ctx.cls == "Power2Core"
-            if not ok and parts[-1] == "rng":
-                if len(parts) == 1:
-                    ok = (ctx is not None and ctx.cls == "NodeLane")
-                else:
-                    base_ty = None
-                    if ctx is not None:
-                        base_ty = param_types(ctx.params).get(parts[0])
-                        if base_ty is None and ctx.cls in tree.classes:
-                            base_ty = tree.classes[ctx.cls].members.get(
-                                parts[0])
-                    ok = base_ty == "NodeLane"
             if not ok:
                 where = ctx.qual if ctx else "parallel dispatch"
                 problems.append(
                     f"{rel}:{line}: {where} draws "
                     f"{m.group(1)}.{meth}(...) inside the parallel "
                     f"closure; parallel-phase code may only draw from a "
-                    f"NodeLane-owned stream (the lane's `rng` member) -- "
-                    f"shared streams make results depend on thread "
-                    f"interleaving")
+                    f"generator built by value in the same function -- a "
+                    f"stream that outlives the call makes results depend "
+                    f"on thread interleaving or lane layout")
     return problems
 
 
@@ -1048,15 +1039,17 @@ def self_test() -> int:
             "    interval_busy_s = step.busy_s;",
             "    interval_busy_s = step.busy_s;\n"
             "    (void)shared_stream->uniform(0.0, 1.0);"),
-        "may only draw from a NodeLane-owned stream")
+        "may only draw from a generator built by value")
     scenario(
-        "rng discipline: lane-owned draw in the closure passes",
+        "rng discipline: lane-held stream draw in the closure fails",
+        # A stream a NodeLane holds outlives the call: its draws would tie
+        # results to the lane layout, so the rule no longer exempts it.
         lambda tmp: edit(
             tmp, "src/workload/lane.hpp",
             "    interval_busy_s = step.busy_s;",
             "    interval_busy_s = step.busy_s;\n"
             "    (void)rng.uniform(0.0, 1.0);"),
-        "", expect_rc=0)
+        "may only draw from a generator built by value")
     scenario(
         "rng discipline: locally-constructed generator passes",
         # FaultSchedule::draw's pattern: a by-value generator seeded from
@@ -1078,7 +1071,7 @@ def self_test() -> int:
             "    interval_busy_s = step.busy_s;\n"
             "    util::Xoshiro256StarStar& alias = *shared_stream;\n"
             "    (void)alias.uniform(0.0, 1.0);"),
-        "may only draw from a NodeLane-owned stream")
+        "may only draw from a generator built by value")
 
     if failures:
         for f in failures:
