@@ -15,7 +15,9 @@
 //              closed-form path against the slice-by-slice reference, as
 //              the median of 51 paired per-thread CPU-time ratios, on a
 //              paging profile; and the fast path alone (reported) on a
-//              busy interval without paging and on an idle one;
+//              busy interval without paging, on an idle one, and on two
+//              alternating work orders, which rebuild the node's interval
+//              plan on every call;
 //   campaign.* the 144-node campaign once on the reference path and once on
 //              the fast path at each of 1, 2, 4 and 8 threads, archive on:
 //              Table 2 and the archive bytes must match across all five;
@@ -42,7 +44,16 @@
 //                             median 5.38, one exit 1, and 5.03–5.61,
 //                             median 5.44); 7.29–7.96, median 7.51, over
 //                             20 12-day runs interleaved with the second
-//                             set, once the integer carry replay landed;
+//                             set, once the integer carry replay landed
+//                             (8.4–10.2 over six 270-day runs on a faster
+//                             host); on a third host, 7.27–7.79 over
+//                             three 270-day runs of that build, then
+//                             17.2–18.3, median 17.4, over five 270-day
+//                             runs once the node kept the plan of its last
+//                             work order (the timed node repeats one
+//                             order, so every call after the first reuses
+//                             it; engine.fast_replan_intervals_per_s shows
+//                             the cost without reuse);
 //                             the best-of-5 wall-clock rounds it replaced
 //                             read 5.04–6.21 over 11 runs on the same
 //                             host, and 4.61–5.66 over 17 earlier runs
@@ -384,6 +395,16 @@ void engine_rows(Report& rep) {
              }));
   rep.report("engine.fast_idle_intervals_per_s", "1/s",
              intervals_per_s([&] { idle_node.advance_idle(900.0); }));
+  // The rows above repeat one work order, so each call reuses the node's
+  // interval plan; alternating two orders makes every call build one.
+  cluster::ActivityProfile other = no_paging;
+  other.comm_send_bytes_per_s *= 1.5;
+  cluster::Node replan_node(4);
+  bool flip = false;
+  rep.report("engine.fast_replan_intervals_per_s", "1/s", intervals_per_s([&] {
+               flip = !flip;
+               replan_node.advance(900.0, &sig, flip ? other : no_paging);
+             }));
 
   power2::SignatureCache cache;
   std::vector<power2::KernelDesc> kernels;

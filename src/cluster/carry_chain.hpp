@@ -19,7 +19,9 @@
 // u here (u <= 1, since m + a < 2^53 is required), so for it only x and the
 // adds have to be on the grid.  In units of u a slice is X <- (X + A) mod M
 // and takes floor(A / M) plus a carry of 0 or 1 (as X < M), so n slices
-// take floor((X + n A) / M) and leave its remainder.
+// take floor((X + n A) / M) and leave its remainder.  Nothing here depends
+// on where the run starts: a value that enters the grid before the first
+// slice makes every slice of the run exact, the first one included.
 #pragma once
 
 #include <bit>
@@ -29,22 +31,27 @@
 
 namespace p2sim::cluster {
 
-/// The carry chain x <- (x + a1 + a2) mod m in integer units of u.
-/// exact() is false, and the chain must not be replayed, when any of its
-/// values is off its grid: a residual or an add that is not a multiple of
-/// u (an add below the grid's spacing, or one whose sum with m crosses
-/// into the next binade), a residual outside [0, m), m + a outside
-/// [1, 2^53), or m itself not a multiple of u.  A bytes-per-transfer like
-/// 41.6 is a multiple of 2^-47, so it is on the grid while m + a stays
-/// below 64 and off it once an add takes m + a past 64.
-class CarryChain {
+/// The grid of the carry chain x <- (x + a1 + a2) mod m: u, the adds and m
+/// in integer units of u.  It depends only on the adds and m, so a run of
+/// identical slices builds it once; the carried value x enters it through
+/// enter() and leaves through value().  exact() is false, and the chain
+/// must not be replayed, when an add or m is off the grid: an add that is
+/// not a multiple of u (an add below the grid's spacing, or one whose sum
+/// with m crosses into the next binade), m + a outside [1, 2^53), or m
+/// itself not a multiple of u.  A bytes-per-transfer like 41.6 is a
+/// multiple of 2^-47, so it is on the grid while m + a stays below 64 and
+/// off it once an add takes m + a past 64.
+class CarryGrid {
  public:
   /// The longest run take() accepts: with a start below 2^53 units and
   /// adds below 2^53 units per slice, 256 slices keep every unit sum below
   /// 2^62.
   static constexpr std::uint64_t kMaxSlices = 256;
 
-  P2SIM_PAR_SAFE CarryChain(double x, double a1, double a2, double m) {
+  /// A grid nothing is on: exact() is false.
+  CarryGrid() = default;
+
+  P2SIM_PAR_SAFE CarryGrid(double a1, double a2, double m) {
     const double top = m + a1 + a2;
     if (!(top >= 1.0 && top < 0x1p53)) return;
     // top in [2^e, 2^(e+1)) with 0 <= e <= 52: u = 2^(e - 52) <= 1.
@@ -53,9 +60,8 @@ class CarryChain {
     inv_u_ = std::bit_cast<double>((2 * 1023 + 52 - e_biased) << 52);
     std::uint64_t a1_units = 0;
     std::uint64_t a2_units = 0;
-    exact_ = units(x, x_) && units(a1, a1_units) && units(a2, a2_units) &&
-             units(m, m_) && m_ > 0 && x_ < m_ &&
-             m_ + a1_units + a2_units <= (std::uint64_t{1} << 53);
+    exact_ = units(a1, a1_units) && units(a2, a2_units) && units(m, m_) &&
+             m_ > 0 && m_ + a1_units + a2_units <= (std::uint64_t{1} << 53);
     a_ = a1_units + a2_units;
     // A residual's m = 1 is a power-of-two number of units: shift, not
     // divide.
@@ -64,12 +70,20 @@ class CarryChain {
 
   P2SIM_PAR_SAFE bool exact() const { return exact_; }
 
+  /// A carried value in units: true when the grid is exact and `x` is a
+  /// multiple of u in [0, m).
+  P2SIM_PAR_SAFE bool enter(double x, std::uint64_t& x_units) const {
+    return exact_ && units(x, x_units) && x_units < m_;
+  }
+
   /// The whole count that `slices` (at most kMaxSlices) more slices take
-  /// out of the chain: floor((x + slices * a) / m), in units.
-  P2SIM_PAR_SAFE std::uint64_t take(std::uint64_t slices) {
-    const std::uint64_t sum = x_ + slices * a_;
+  /// out of the chain at `x` (in units): floor((x + slices * a) / m).
+  /// Leaves the remainder in `x`.
+  P2SIM_PAR_SAFE std::uint64_t take(std::uint64_t& x,
+                                    std::uint64_t slices) const {
+    const std::uint64_t sum = x + slices * a_;
     const std::uint64_t whole = shift_ >= 0 ? sum >> shift_ : sum / m_;
-    x_ = sum - whole * m_;
+    x = sum - whole * m_;
     return whole;
   }
 
@@ -81,9 +95,9 @@ class CarryChain {
   /// x never carries.
   P2SIM_PAR_SAFE bool steady() const { return a_ == base() * m_; }
 
-  /// The residual after the slices.
-  P2SIM_PAR_SAFE double residual() const {
-    return static_cast<double>(static_cast<std::int64_t>(x_)) * u_;
+  /// The carried value of `x` units.
+  P2SIM_PAR_SAFE double value(std::uint64_t x) const {
+    return static_cast<double>(static_cast<std::int64_t>(x)) * u_;
   }
 
  private:
@@ -100,12 +114,11 @@ class CarryChain {
   }
 
   bool exact_ = false;
+  int shift_ = 0;  ///< log2(m_) when m_ is a power of two, else -1
   double u_ = 0.0;
   double inv_u_ = 0.0;
-  std::uint64_t x_ = 0;  ///< residual, in units
   std::uint64_t a_ = 0;  ///< one slice's adds, in units
   std::uint64_t m_ = 1;  ///< modulus, in units
-  int shift_ = 0;        ///< log2(m_) when m_ is a power of two, else -1
 };
 
 }  // namespace p2sim::cluster

@@ -58,29 +58,46 @@ class DmaEngine {
             take_transfers(pending_write_bytes_, per)};
   }
 
+  /// The two pending-byte chains of a slice that moves `page_bytes` each
+  /// way plus `read_bytes` and `write_bytes`: one grid per direction, with
+  /// m = bytes per transfer.  transfer() skips an add that is not
+  /// positive; a chain adds 0.
+  struct ReplayGrids {
+    CarryGrid read;
+    CarryGrid write;
+  };
+  P2SIM_PAR_SAFE ReplayGrids replay_grids(double page_bytes,
+                                          double read_bytes,
+                                          double write_bytes) const {
+    const auto positive = [](double v) { return v > 0.0 ? v : 0.0; };
+    const double per = cfg_.avg_transfer_bytes();
+    return {CarryGrid(positive(page_bytes), positive(read_bytes), per),
+            CarryGrid(positive(page_bytes), positive(write_bytes), per)};
+  }
+
   /// `slices` repeats of {transfer(page_bytes, page_bytes);
   /// transfer(read_bytes, write_bytes); harvest()}, returning the summed
-  /// harvest.  The pending bytes are replayed exactly in integers
-  /// (CarryChain, m = bytes per transfer) and the lifetime totals are
-  /// added slice by slice, as transfer() adds them.  Returns nullopt,
-  /// changing nothing, when a pending-byte chain is off its grid or the
-  /// run is longer than CarryChain::kMaxSlices.
+  /// harvest.  `grids` must be replay_grids() of the same bytes.  The
+  /// pending bytes are replayed exactly in integers and the lifetime
+  /// totals are added slice by slice, as transfer() adds them.  Returns
+  /// nullopt, changing nothing, when a pending-byte chain is off its grid
+  /// or the run is longer than CarryGrid::kMaxSlices.
   P2SIM_PAR_SAFE std::optional<Harvest> replay(std::uint64_t slices,
+                                               const ReplayGrids& grids,
                                                double page_bytes,
                                                double read_bytes,
                                                double write_bytes) {
-    if (slices > CarryChain::kMaxSlices) return std::nullopt;
-    // transfer() skips an add that is not positive; a chain adds 0.
-    const auto positive = [](double v) { return v > 0.0 ? v : 0.0; };
-    const double per = cfg_.avg_transfer_bytes();
-    CarryChain read(pending_read_bytes_, positive(page_bytes),
-                    positive(read_bytes), per);
-    CarryChain write(pending_write_bytes_, positive(page_bytes),
-                     positive(write_bytes), per);
-    if (!(read.exact() && write.exact())) return std::nullopt;
-    const Harvest h{read.take(slices), write.take(slices)};
-    pending_read_bytes_ = read.residual();
-    pending_write_bytes_ = write.residual();
+    if (slices > CarryGrid::kMaxSlices) return std::nullopt;
+    std::uint64_t read = 0;
+    std::uint64_t write = 0;
+    if (!(grids.read.enter(pending_read_bytes_, read) &&
+          grids.write.enter(pending_write_bytes_, write))) {
+      return std::nullopt;
+    }
+    const Harvest h{grids.read.take(read, slices),
+                    grids.write.take(write, slices)};
+    pending_read_bytes_ = grids.read.value(read);
+    pending_write_bytes_ = grids.write.value(write);
     for (std::uint64_t i = 0; i < slices; ++i) {
       if (page_bytes > 0.0) {
         total_read_bytes_ += page_bytes;

@@ -2,15 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/check/check.hpp"
-#include "src/cluster/carry_chain.hpp"
 #include "src/power2/field_table.hpp"
 
 namespace p2sim::cluster {
 namespace {
+
+/// One wrap of a 32-bit counter.
+constexpr double kWrap = 4294967296.0;
+
+/// Bitwise equality of a plain aggregate of doubles: a plan serves only
+/// the order whose every bit matches the one it was built for.
+template <class T>
+P2SIM_PAR_SAFE bool same_bits(const T& a, const T& b) {
+  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 8 == 0);
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+static_assert(sizeof(power2::EventSignature) == 24 * sizeof(double),
+              "a plan key compares every byte: no padding, no pointers");
+static_assert(sizeof(ActivityProfile) == 8 * sizeof(double),
+              "a plan key compares every byte: no padding, no pointers");
 
 /// Splits an accumulated fractional count into a whole number plus residual.
 P2SIM_PAR_SAFE std::uint64_t take_whole(double& residual) {
@@ -39,6 +55,16 @@ Node::Node(int id, const NodeConfig& cfg)
           ">= 0");
     }
   }
+  // A slice's noise, plus a carry from each of the two residuals it shares
+  // a counter with, must stay below one wrap (the bound make_plan checks
+  // for every work order).
+  for (const double rate : {cfg_.os_noise_fxu_per_s, cfg_.os_noise_icu_per_s}) {
+    if (!(rate * cfg_.max_sample_slice_s + 2.0 < kWrap)) {
+      throw std::invalid_argument(
+          "OS-noise rates must keep one slice's count below one counter "
+          "wrap");
+    }
+  }
   ext_.attach(monitor_);
 }
 
@@ -55,6 +81,7 @@ void Node::crash() {
   quad_total_ = 0;
   resid_fault_fxu_ = resid_fault_icu_ = resid_fault_cycles_ = 0.0;
   resid_noise_fxu_ = resid_noise_icu_ = 0.0;
+  plan_.reset();
 }
 
 void Node::reboot() { up_ = true; }
@@ -95,70 +122,44 @@ void Node::advance_reference(double seconds, const power2::EventSignature* sig,
 // computed with two scales instead of n + 1 (one when the remainder is a
 // full slice, as in every 900 s interval).  The 32-bit banks only ever
 // see sums mod 2^32, and each reference slice advances every mapped
-// counter by < 2^32 (the ctor's wrap bound on cycles; physical rates are
-// <= a few per cycle), so each per-slice wrap_delta equals the true
-// increment and the summed 64-bit totals handed to ExtendedCounters::
-// accrue are exactly what slice-by-slice sampling would have accumulated.
+// counter by < 2^32 (the ctor's wrap bound on cycles, make_plan's on the
+// system-mode and DMA counts; physical rates are <= a few per cycle), so
+// each per-slice wrap_delta equals the true increment and the summed
+// 64-bit totals handed to ExtendedCounters::accrue are exactly what
+// slice-by-slice sampling would have accumulated.
 //
-// Only the carried state depends on slice boundaries: the five residual
-// accumulators, the integer fxu split, and the DMA pending bytes and
-// lifetime totals.  The first full slice and the remainder run the
-// reference's floating-point step (carry_slice).  The full slices between
-// them are replayed exactly in integers (replay_full_slices): each chain
-// there is the recurrence x <- (x + a) mod m, with m = 1 for a residual
-// and m = bytes per transfer for a pending-byte counter.  When a guard of
-// that replay fails, those slices run the floating-point step too.
-void Node::advance_batched(double seconds, const power2::EventSignature* sig,
-                           const ActivityProfile& profile) {
-  // Replicate the reference slice decomposition bit-for-bit.
-  const double max = cfg_.max_sample_slice_s;
-  std::uint64_t n_full = 0;
-  double left = seconds;
-  while (left > max) {
-    left -= max;
-    ++n_full;
+// All of that is a pure function of the work order and the config, so it
+// lives in an IntervalPlan (make_plan) that the node keeps for its last
+// order: a node repeating its previous order, as most campaign intervals
+// do, only applies the plan to its carried state.  That state — the five
+// residual accumulators, the integer fxu split, and the DMA pending bytes
+// and lifetime totals — depends on slice boundaries.  Each chain there is
+// the recurrence x <- (x + a) mod m, with m = 1 for a residual and m =
+// bytes per transfer for a pending-byte counter, and replays exactly in
+// integers whenever its value is on the plan's grid (replay_full_slices).
+// Residuals left by the same order are on its grids, so all n identical
+// slices replay in integers.  Otherwise the first slice runs the
+// reference's floating-point step (carry_slice), which puts the residuals
+// on the grids when the order allows it, and the rest replay; a slice the
+// replay cannot take, and a remainder shorter than a full slice, run the
+// floating-point step.
+std::uint64_t Node::advance_batched(double seconds,
+                                    const power2::EventSignature* sig,
+                                    const ActivityProfile& profile) {
+  if (!plan_ || !plan_->matches(seconds, sig, profile)) {
+    plan_ = make_plan(seconds, sig, profile);
   }
-  const double rem = left;  // in (0, max_sample_slice_s]
-  // A remainder of exactly one slice (every multiple of the slice length)
-  // reuses the full slice's scaled counts and carried adds.
-  const bool rem_is_full = rem == max;
+  const IntervalPlan& p = *plan_;
 
-  hpm::CounterAdds user_adds{};
+  hpm::CounterAdds user_adds = p.user_adds;
   hpm::CounterAdds sys_adds{};
-
-  // --- user-mode work, closed form ---
-  if (sig != nullptr && profile.compute_fraction > 0.0) {
-    const auto slice_user = [&](double slice) {
-      const double cycles =
-          slice * cfg_.clock_hz * std::min(profile.compute_fraction, 1.0);
-      P2SIM_INVARIANT(cycles < 4294967296.0,
-                      "slice cycles must stay below one counter wrap");
-      power2::EventCounts ev = sig->scale(cycles);
-      ev.comm_wait_cycles = static_cast<std::uint64_t>(
-          slice * cfg_.clock_hz * std::min(profile.comm_wait_fraction, 1.0));
-      ev.io_wait_cycles = static_cast<std::uint64_t>(
-          slice * cfg_.clock_hz * std::min(profile.io_wait_fraction, 1.0));
-      return ev;
-    };
-    power2::EventCounts user_total;
-    const std::uint64_t n_same = n_full + (rem_is_full ? 1 : 0);
-    if (n_same > 0) {
-      const power2::EventCounts full = slice_user(max);
-      user_total.cycles = full.cycles * n_same;
-      for (const power2::ScaledField& f : power2::kScaledFields)
-        user_total.*(f.count) = (full.*(f.count)) * n_same;
-      user_total.comm_wait_cycles = full.comm_wait_cycles * n_same;
-      user_total.io_wait_cycles = full.io_wait_cycles * n_same;
-    }
-    if (!rem_is_full) user_total += slice_user(rem);
-    monitor_.map_events(user_total, user_adds);
-    quad_total_ += user_total.quad_inst;
-  }
+  quad_total_ += p.quad;
 
   // --- system-mode work + DMA: replay only the carried state per slice ---
   power2::EventCounts sys_total;
   std::uint64_t io_read = 0;
   std::uint64_t io_write = 0;
+  std::uint64_t fp_slices = 0;
   // The reference's floating-point step for one slice.  Without paging the
   // fault adds are +0.0, which leave a residual's value as the reference's
   // skipped adds do, and a transfer of 0 bytes moves nothing.
@@ -181,21 +182,18 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
     const DmaEngine::Harvest h = dma_.harvest();
     io_read += h.read_transfers;
     io_write += h.write_transfers;
+    ++fp_slices;
   };
-  const bool busy = sig != nullptr;
-  const SliceAdds full_adds =
-      n_full > 0 || rem_is_full ? slice_adds(max, busy, profile) : SliceAdds{};
-  if (n_full > 0) {
-    carry_slice(full_adds);
-    std::uint64_t done = 1;
-    if (n_full > 1 &&
-        replay_full_slices(n_full - 1, full_adds, sys_total, io_read,
-                           io_write)) {
-      done = n_full;
+  // All the full slices replay when the carried values enter on the
+  // plan's grids; if not, one floating-point slice may put them there.
+  for (std::uint64_t done = 0; done < p.n_same; ++done) {
+    if (done < 2 && replay_full_slices(p.n_same - done, p, sys_total,
+                                       io_read, io_write)) {
+      break;
     }
-    for (; done < n_full; ++done) carry_slice(full_adds);
+    carry_slice(p.full);
   }
-  carry_slice(rem_is_full ? full_adds : slice_adds(rem, busy, profile));
+  if (!p.rem_is_full) carry_slice(p.rem);
 
   monitor_.map_events(sys_total, sys_adds);
   if (io_read != 0 || io_write != 0) {
@@ -207,6 +205,110 @@ void Node::advance_batched(double seconds, const power2::EventSignature* sig,
   monitor_.accumulate_adds(user_adds, hpm::PrivilegeMode::kUser);
   monitor_.accumulate_adds(sys_adds, hpm::PrivilegeMode::kSystem);
   ext_.accrue(monitor_, user_adds, sys_adds);
+  return fp_slices;
+}
+
+bool Node::IntervalPlan::matches(double s, const power2::EventSignature* g,
+                                 const ActivityProfile& a) const {
+  return same_bits(seconds, s) && has_sig == (g != nullptr) &&
+         same_bits(profile, a) && (g == nullptr || same_bits(sig, *g));
+}
+
+Node::IntervalPlan Node::make_plan(double seconds,
+                                   const power2::EventSignature* sig,
+                                   const ActivityProfile& profile) const {
+  IntervalPlan p;
+  p.seconds = seconds;
+  p.has_sig = sig != nullptr;
+  if (sig != nullptr) p.sig = *sig;
+  p.profile = profile;
+
+  // Replicate the reference slice decomposition bit-for-bit.
+  const double max = cfg_.max_sample_slice_s;
+  std::uint64_t n_full = 0;
+  double left = seconds;
+  while (left > max) {
+    left -= max;
+    ++n_full;
+  }
+  const double rem = left;  // in (0, max_sample_slice_s]
+  // A remainder of exactly one slice (every multiple of the slice length)
+  // reuses the full slice's scaled counts and carried adds.
+  p.rem_is_full = rem == max;
+  p.n_same = n_full + (p.rem_is_full ? 1 : 0);
+
+  // --- user-mode work, closed form ---
+  if (sig != nullptr && profile.compute_fraction > 0.0) {
+    const auto slice_user = [&](double slice) {
+      const double cycles =
+          slice * cfg_.clock_hz * std::min(profile.compute_fraction, 1.0);
+      P2SIM_INVARIANT(cycles < kWrap,
+                      "slice cycles must stay below one counter wrap");
+      power2::EventCounts ev = sig->scale(cycles);
+      ev.comm_wait_cycles = static_cast<std::uint64_t>(
+          slice * cfg_.clock_hz * std::min(profile.comm_wait_fraction, 1.0));
+      ev.io_wait_cycles = static_cast<std::uint64_t>(
+          slice * cfg_.clock_hz * std::min(profile.io_wait_fraction, 1.0));
+      return ev;
+    };
+    power2::EventCounts user_total;
+    if (p.n_same > 0) {
+      const power2::EventCounts full = slice_user(max);
+      user_total.cycles = full.cycles * p.n_same;
+      for (const power2::ScaledField& f : power2::kScaledFields)
+        user_total.*(f.count) = (full.*(f.count)) * p.n_same;
+      user_total.comm_wait_cycles = full.comm_wait_cycles * p.n_same;
+      user_total.io_wait_cycles = full.io_wait_cycles * p.n_same;
+    }
+    if (!p.rem_is_full) user_total += slice_user(rem);
+    monitor_.map_events(user_total, p.user_adds);
+    p.quad = user_total.quad_inst;
+  }
+
+  // --- the carried adds of each slice kind, and the full slice's grids ---
+  const bool busy = sig != nullptr;
+  if (p.n_same > 0) {
+    p.full = slice_adds(max, busy, profile);
+    check_slice_bound(p.full);
+    const SliceAdds& a = p.full;
+    p.fault_fxu = CarryGrid(a.fault_fxu, 0.0, 1.0);
+    p.fault_icu = CarryGrid(a.fault_icu, 0.0, 1.0);
+    p.fault_cycles = CarryGrid(a.fault_cycles, 0.0, 1.0);
+    p.noise_fxu = CarryGrid(a.noise_fxu, 0.0, 1.0);
+    p.noise_icu = CarryGrid(a.noise_icu, 0.0, 1.0);
+    p.dma = dma_.replay_grids(a.page_bytes, a.read_bytes, a.write_bytes);
+    // The per-slice fxu split is closed-form only while one of its two
+    // chains never carries (see replay_full_slices).
+    p.replayable = p.fault_fxu.exact() && p.fault_icu.exact() &&
+                   p.fault_cycles.exact() && p.noise_fxu.exact() &&
+                   p.noise_icu.exact() &&
+                   (p.fault_fxu.steady() || p.noise_fxu.steady());
+  }
+  if (!p.rem_is_full) {
+    p.rem = slice_adds(rem, busy, profile);
+    check_slice_bound(p.rem);
+  }
+  return p;
+}
+
+void Node::check_slice_bound(const SliceAdds& a) const {
+  // A chain's whole count in one slice is below its add plus one carry,
+  // and a DMA harvest below its bytes over the transfer size plus one;
+  // the fxu and icu counts each sum two chains.  Every such count must
+  // stay below one wrap, or the 64-bit totals and the reference's
+  // per-slice sampling disagree.  The system-mode cycle count is not
+  // checked: the paging-storm preset's fault rates charge more fault
+  // cycles per slice than one wrap (and than the clock delivers), so its
+  // bound waits for a paging model whose fault service fits in the slice.
+  const double per = cfg_.dma.avg_transfer_bytes();
+  if (!(a.fault_fxu + a.noise_fxu + 2.0 < kWrap &&
+        a.fault_icu + a.noise_icu + 2.0 < kWrap &&
+        (a.page_bytes + a.read_bytes) / per + 1.0 < kWrap &&
+        (a.page_bytes + a.write_bytes) / per + 1.0 < kWrap)) {
+    throw std::invalid_argument(
+        "one slice of this work order moves a system-mode or DMA counter "
+        "by a wrap or more");
+  }
 }
 
 Node::SliceAdds Node::slice_adds(double seconds, bool busy,
@@ -235,53 +337,59 @@ Node::SliceAdds Node::slice_adds(double seconds, bool busy,
   return a;
 }
 
-// Exact integer replay of `slices` further full slices of carry_slice.
-// Each residual is the chain x <- (x + a) mod 1 and each DMA pending-byte
+// Exact integer replay of `slices` full slices of carry_slice.  Each
+// residual is the chain x <- (x + a) mod 1 and each DMA pending-byte
 // counter the chain x <- (x + page + traffic) mod bytes-per-transfer;
-// CarryChain (src/cluster/carry_chain.hpp) gives the grid/binade argument
+// CarryGrid (src/cluster/carry_chain.hpp) gives the grid/binade argument
 // that makes the integer replay exact and each condition under which a
-// chain is off its grid.  The guard is checked once, on the residuals the
-// first full slice left.
+// chain is off its grid.  The plan built the grids; the guard here only
+// checks that the carried values are on them.
 //
-// Falls back (returns false, changing nothing) when any of the seven
-// chains is off its grid, when the run is longer than
-// CarryChain::kMaxSlices, or when neither fxu chain is steady, since the
-// per-slice fxu split then depends on where each chain carries.
-bool Node::replay_full_slices(std::uint64_t slices, const SliceAdds& adds,
+// Falls back (returns false, changing nothing) when the plan is not
+// replayable (a grid is off, or neither fxu chain is steady, since the
+// per-slice fxu split then depends on where each chain carries), when a
+// carried value is off its grid, or when the run is longer than
+// CarryGrid::kMaxSlices.
+bool Node::replay_full_slices(std::uint64_t slices, const IntervalPlan& plan,
                               power2::EventCounts& sys,
                               std::uint64_t& io_read,
                               std::uint64_t& io_write) {
-  if (slices > CarryChain::kMaxSlices) return false;
-  CarryChain fault_fxu(resid_fault_fxu_, adds.fault_fxu, 0.0, 1.0);
-  CarryChain fault_icu(resid_fault_icu_, adds.fault_icu, 0.0, 1.0);
-  CarryChain fault_cycles(resid_fault_cycles_, adds.fault_cycles, 0.0, 1.0);
-  CarryChain noise_fxu(resid_noise_fxu_, adds.noise_fxu, 0.0, 1.0);
-  CarryChain noise_icu(resid_noise_icu_, adds.noise_icu, 0.0, 1.0);
-  if (!(fault_fxu.exact() && fault_icu.exact() && fault_cycles.exact() &&
-        noise_fxu.exact() && noise_icu.exact()) ||
-      !(fault_fxu.steady() || noise_fxu.steady())) {
+  if (!plan.replayable || slices > CarryGrid::kMaxSlices) return false;
+  std::uint64_t fault_fxu = 0;
+  std::uint64_t fault_icu = 0;
+  std::uint64_t fault_cycles = 0;
+  std::uint64_t noise_fxu = 0;
+  std::uint64_t noise_icu = 0;
+  if (!(plan.fault_fxu.enter(resid_fault_fxu_, fault_fxu) &&
+        plan.fault_icu.enter(resid_fault_icu_, fault_icu) &&
+        plan.fault_cycles.enter(resid_fault_cycles_, fault_cycles) &&
+        plan.noise_fxu.enter(resid_noise_fxu_, noise_fxu) &&
+        plan.noise_icu.enter(resid_noise_icu_, noise_icu))) {
     return false;
   }
-  const std::optional<DmaEngine::Harvest> io =
-      dma_.replay(slices, adds.page_bytes, adds.read_bytes, adds.write_bytes);
+  const SliceAdds& a = plan.full;
+  const std::optional<DmaEngine::Harvest> io = dma_.replay(
+      slices, plan.dma, a.page_bytes, a.read_bytes, a.write_bytes);
   if (!io) return false;
   io_read += io->read_transfers;
   io_write += io->write_transfers;
   // The fxu split halves each slice's count f on its own.  With one of the
   // two chains steady, f is q or q + 1 with q the two base counts summed,
   // and f / 2 gains 1 over q / 2 on each carry exactly when q is odd.
-  const std::uint64_t q = fault_fxu.base() + noise_fxu.base();
-  const std::uint64_t fxu = fault_fxu.take(slices) + noise_fxu.take(slices);
+  const std::uint64_t q = plan.fault_fxu.base() + plan.noise_fxu.base();
+  const std::uint64_t fxu = plan.fault_fxu.take(fault_fxu, slices) +
+                            plan.noise_fxu.take(noise_fxu, slices);
   const std::uint64_t fxu0 = slices * (q / 2) + (q & 1) * (fxu - slices * q);
   sys.fxu0_inst += fxu0;
   sys.fxu1_inst += fxu - fxu0;
-  sys.icu_type1 += fault_icu.take(slices) + noise_icu.take(slices);
-  sys.cycles += fault_cycles.take(slices);
-  resid_fault_fxu_ = fault_fxu.residual();
-  resid_fault_icu_ = fault_icu.residual();
-  resid_fault_cycles_ = fault_cycles.residual();
-  resid_noise_fxu_ = noise_fxu.residual();
-  resid_noise_icu_ = noise_icu.residual();
+  sys.icu_type1 += plan.fault_icu.take(fault_icu, slices) +
+                   plan.noise_icu.take(noise_icu, slices);
+  sys.cycles += plan.fault_cycles.take(fault_cycles, slices);
+  resid_fault_fxu_ = plan.fault_fxu.value(fault_fxu);
+  resid_fault_icu_ = plan.fault_icu.value(fault_icu);
+  resid_fault_cycles_ = plan.fault_cycles.value(fault_cycles);
+  resid_noise_fxu_ = plan.noise_fxu.value(noise_fxu);
+  resid_noise_icu_ = plan.noise_icu.value(noise_icu);
   return true;
 }
 

@@ -11,8 +11,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "src/check/annotate.hpp"
+#include "src/cluster/carry_chain.hpp"
 #include "src/cluster/dma.hpp"
 #include "src/hpm/monitor.hpp"
 #include "src/power2/signature.hpp"
@@ -52,7 +54,8 @@ struct NodeConfig {
   double fault_icu_inst = 13000.0;
   double fault_cycles = 130000.0;
   double page_bytes = 4096.0;
-  /// Background OS noise while busy (system-mode instructions per second).
+  /// Background OS noise while busy (system-mode instructions per second);
+  /// one slice's noise must stay below one counter wrap.
   double os_noise_fxu_per_s = 150e3;
   double os_noise_icu_per_s = 40e3;
   /// Longest slice applied between multipass samples; must stay below the
@@ -130,10 +133,11 @@ class Node {
                         self.resid_fault_cycles_);
     util::ckpt_residual(io, "node.resid_noise_fxu", self.resid_noise_fxu_);
     util::ckpt_residual(io, "node.resid_noise_icu", self.resid_noise_icu_);
+    if constexpr (util::kRestoring<Io>) self.plan_.reset();
   }
 
  private:
-  /// Lets the equivalence tests check which arm of replay_full_slices a
+  /// Lets the equivalence tests check which arm of the carry replay a
   /// node-interval takes; the fallback is exact, so no output shows it.
   friend struct NodeTestPeer;
 
@@ -150,10 +154,57 @@ class Node {
     double read_bytes = 0.0;
     double write_bytes = 0.0;
   };
+
+  /// Everything advance_batched derives from one work order — the seconds,
+  /// the signature (or none) and the activity profile — and the config
+  /// alone, so a node running the same order again reuses it.  Derived
+  /// data: not checkpointed, never part of the node's observable state.
+  struct IntervalPlan {
+    // The work order, compared bit for bit (matches()): a plan is never
+    // found through the signature's address alone.
+    double seconds = 0.0;
+    bool has_sig = false;
+    power2::EventSignature sig{};
+    ActivityProfile profile{};
+    /// The reference's slice decomposition: n_same slices of
+    /// max_sample_slice_s (the full slices, plus the remainder when it is
+    /// a full slice too), then the remainder `rem` unless rem_is_full.
+    std::uint64_t n_same = 0;
+    bool rem_is_full = false;
+    /// The user-mode counts of the whole order, mapped onto the counters,
+    /// and its quad diagnostic.
+    hpm::CounterAdds user_adds{};
+    std::uint64_t quad = 0;
+    SliceAdds full;
+    SliceAdds rem;
+    /// The seven carry chains of a full slice: the five residuals (m = 1)
+    /// and the two DMA pending-byte counters.
+    CarryGrid fault_fxu, fault_icu, fault_cycles, noise_fxu, noise_icu;
+    DmaEngine::ReplayGrids dma;
+    /// Every residual grid is exact and one fxu chain is steady, so the
+    /// full slices may replay in integers once the residuals are on the
+    /// grids.
+    bool replayable = false;
+
+    P2SIM_PAR_SAFE bool matches(double seconds,
+                                const power2::EventSignature* sig,
+                                const ActivityProfile& profile) const;
+  };
+
+  /// Builds the plan of a work order from the config alone (the monitor
+  /// is read only for its counter wiring).  Throws std::invalid_argument
+  /// when one slice of the order would move a system-mode instruction
+  /// counter or a DMA counter by a wrap or more (check_slice_bound).
+  P2SIM_PAR_SAFE IntervalPlan make_plan(double seconds,
+                                        const power2::EventSignature* sig,
+                                        const ActivityProfile& profile) const;
   P2SIM_PAR_SAFE SliceAdds slice_adds(double seconds, bool busy,
                                       const ActivityProfile& profile) const;
+  /// Throws std::invalid_argument when a slice of `a` could move a
+  /// system-mode instruction counter or a DMA counter by a wrap or more.
+  P2SIM_PAR_SAFE void check_slice_bound(const SliceAdds& a) const;
   P2SIM_PAR_SAFE bool replay_full_slices(std::uint64_t slices,
-                                         const SliceAdds& adds,
+                                         const IntervalPlan& plan,
                                          power2::EventCounts& sys,
                                          std::uint64_t& io_read,
                                          std::uint64_t& io_write);
@@ -164,9 +215,11 @@ class Node {
   P2SIM_PAR_SAFE void advance_reference(double seconds,
                                         const power2::EventSignature* sig,
                                         const ActivityProfile& profile);
-  P2SIM_PAR_SAFE void advance_batched(double seconds,
-                                      const power2::EventSignature* sig,
-                                      const ActivityProfile& profile);
+  /// Returns how many slices ran the floating-point carry step (0 when
+  /// every slice replayed in integers).
+  P2SIM_PAR_SAFE std::uint64_t advance_batched(
+      double seconds, const power2::EventSignature* sig,
+      const ActivityProfile& profile);
   P2SIM_PAR_SAFE void check_profile(const power2::EventSignature* sig,
                                     const ActivityProfile& profile) const;
 
@@ -184,6 +237,9 @@ class Node {
   double resid_fault_cycles_ = 0.0;
   double resid_noise_fxu_ = 0.0;
   double resid_noise_icu_ = 0.0;
+  /// The plan of the last work order advance_batched ran; a crash or a
+  /// restore drops it, and the next advance rebuilds it.
+  std::optional<IntervalPlan> plan_;
 };
 
 }  // namespace p2sim::cluster

@@ -72,6 +72,13 @@ struct KernelDesc {
   std::uint64_t memrefs_per_iter() const;  ///< quad counts as 1 instruction
 };
 
+/// A kernel and its content_hash(), which walks the whole body: callers
+/// that look a kernel up many times hash it once and pass this pair.
+struct KernelRef {
+  std::uint64_t hash = 0;
+  const KernelDesc* kernel = nullptr;
+};
+
 /// Fluent builder so kernels read like the loop they model.
 class KernelBuilder {
  public:

@@ -84,19 +84,19 @@ SignatureCache::SignatureCache(const CoreConfig& core_cfg,
       rep.file_found && (!rep.core_hash_matched || rep.truncated);
 }
 
-const EventSignature& SignatureCache::get(const KernelDesc& kernel) {
-  const auto it = by_hash_.find(kernel.content_hash());
+const EventSignature& SignatureCache::get(const KernelRef& kernel) {
+  const auto it = by_hash_.find(kernel.hash);
   if (it != by_hash_.end()) {
     ++stats_.hits;
     return it->second;
   }
   ++stats_.measured_on_demand;
-  return adopt(kernel, measure_quiet(core_cfg_, kernel));
+  return adopt(kernel.hash, measure_quiet(core_cfg_, *kernel.kernel));
 }
 
-const EventSignature& SignatureCache::adopt(const KernelDesc& kernel,
+const EventSignature& SignatureCache::adopt(std::uint64_t hash,
                                             const QuietMeasurement& m) {
-  const auto [it, inserted] = by_hash_.emplace(kernel.content_hash(), m.sig);
+  const auto [it, inserted] = by_hash_.emplace(hash, m.sig);
   P2SIM_CHECK(inserted, "adopt: the kernel must not be cached yet");
   order_.push_back(it->first);
   ++stats_.measured;
@@ -105,16 +105,15 @@ const EventSignature& SignatureCache::adopt(const KernelDesc& kernel,
   return it->second;
 }
 
-std::vector<const KernelDesc*> SignatureCache::plan_batch(
-    const std::vector<const KernelDesc*>& kernels) const {
-  std::vector<const KernelDesc*> plan;
+std::vector<KernelRef> SignatureCache::plan_batch(
+    const std::vector<KernelRef>& kernels) const {
+  std::vector<KernelRef> plan;
   // Membership only: the plan keeps the input's order, and the set is
   // never iterated.
   P2SIM_ORDERED_FOLD std::unordered_set<std::uint64_t> planned;
-  for (const KernelDesc* k : kernels) {
-    const std::uint64_t h = k->content_hash();
-    if (by_hash_.find(h) != by_hash_.end()) continue;
-    if (planned.insert(h).second) plan.push_back(k);
+  for (const KernelRef& k : kernels) {
+    if (by_hash_.find(k.hash) != by_hash_.end()) continue;
+    if (planned.insert(k.hash).second) plan.push_back(k);
   }
   return plan;
 }

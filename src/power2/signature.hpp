@@ -120,7 +120,11 @@ class SignatureCache {
 
   /// Returns the signature, measuring it on first use (an on-demand
   /// measurement, counted in Stats::measured_on_demand).
-  P2SIM_SERIAL_ONLY const EventSignature& get(const KernelDesc& kernel);
+  P2SIM_SERIAL_ONLY const EventSignature& get(const KernelDesc& kernel) {
+    return get(KernelRef{kernel.content_hash(), &kernel});
+  }
+  /// The same, for a kernel whose content hash the caller already has.
+  P2SIM_SERIAL_ONLY const EventSignature& get(const KernelRef& kernel);
 
   /// Writes newly measured signatures back to the persistent store.
   /// Returns false when a configured write fails; true otherwise
@@ -137,13 +141,14 @@ class SignatureCache {
   /// which must outlive it.  The caller measures the plan's entries with
   /// measure_quiet (typically in parallel) and hands each result to
   /// adopt().
-  P2SIM_SERIAL_ONLY std::vector<const KernelDesc*> plan_batch(
-      const std::vector<const KernelDesc*>& kernels) const;
+  P2SIM_SERIAL_ONLY std::vector<KernelRef> plan_batch(
+      const std::vector<KernelRef>& kernels) const;
 
-  /// Batched measurement, step 2: adopts `m` as the signature of `kernel`
-  /// and replays its deferred kernel-run telemetry.  Adopting in the order
-  /// the on-demand path would have measured keeps exports byte-identical.
-  P2SIM_SERIAL_ONLY const EventSignature& adopt(const KernelDesc& kernel,
+  /// Batched measurement, step 2: adopts `m` as the signature of the
+  /// kernel whose content hash is `hash` and replays its deferred
+  /// kernel-run telemetry.  Adopting in the order the on-demand path would
+  /// have measured keeps exports byte-identical.
+  P2SIM_SERIAL_ONLY const EventSignature& adopt(std::uint64_t hash,
                                                 const QuietMeasurement& m);
 
   std::size_t size() const { return by_hash_.size(); }

@@ -331,7 +331,7 @@ void WorkloadDriver::CampaignState::ckpt_fields(Io& io, Self& self) {
     std::fill(self.node_job.begin(), self.node_job.end(), nullptr);
     for (auto& [id, rj] : self.running) {
       rj.profile = &self.registry.get(rj.spec.profile_id);
-      rj.sig = &self.signatures.get(rj.profile->kernel);
+      rj.sig = &self.signatures.get(rj.profile->kernel_ref());
       for (int n : rj.nodes) {
         self.node_job[static_cast<std::size_t>(n)] = &rj;
       }
@@ -505,16 +505,16 @@ void WorkloadDriver::phase_scheduling(CampaignState& st) {
   // measured them — so the cache, the store and the engine-timeline
   // telemetry cannot tell the batch happened.  The batch covered every
   // kernel of the schedule the cache lacked, so a miss is a driver bug.
-  std::vector<const power2::KernelDesc*> kernels;
+  std::vector<power2::KernelRef> kernels;
   kernels.reserve(st.starts.size());
   for (const pbs::StartEvent& ev : st.starts) {
-    kernels.push_back(&st.registry.get(ev.spec.profile_id).kernel);
+    kernels.push_back(st.registry.get(ev.spec.profile_id).kernel_ref());
   }
-  for (const power2::KernelDesc* k : st.signatures.plan_batch(kernels)) {
-    const auto it = st.ahead.find(k->content_hash());
+  for (const power2::KernelRef& k : st.signatures.plan_batch(kernels)) {
+    const auto it = st.ahead.find(k.hash);
     P2SIM_CHECK(it != st.ahead.end(),
                 "scheduling: a start's kernel was never measured ahead");
-    st.signatures.adopt(*k, it->second);
+    st.signatures.adopt(k.hash, it->second);
     st.ahead.erase(it);
   }
 }
@@ -522,11 +522,11 @@ void WorkloadDriver::phase_scheduling(CampaignState& st) {
 void WorkloadDriver::phase_measure(CampaignState& st) {
   // Every kernel of the schedule the cache lacks, deduplicated, in
   // submission order (profile ids follow it).
-  std::vector<const power2::KernelDesc*> kernels;
+  std::vector<power2::KernelRef> kernels;
   kernels.reserve(st.registry.size());
   st.registry.for_each(
-      [&kernels](const JobProfile& p) { kernels.push_back(&p.kernel); });
-  const std::vector<const power2::KernelDesc*> plan =
+      [&kernels](const JobProfile& p) { kernels.push_back(p.kernel_ref()); });
+  const std::vector<power2::KernelRef> plan =
       st.signatures.plan_batch(kernels);
   // One batch on worker-private cores, each result written by plan index.
   // Largest estimated cost first (body size x iterations), dealt
@@ -536,8 +536,8 @@ void WorkloadDriver::phase_measure(CampaignState& st) {
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   const auto cost = [&plan](std::size_t i) {
-    return plan[i]->body.size() *
-           (plan[i]->warmup_iters + plan[i]->measure_iters);
+    const power2::KernelDesc& k = *plan[i].kernel;
+    return k.body.size() * (k.warmup_iters + k.measure_iters);
   };
   std::stable_sort(order.begin(), order.end(),
                    [&cost](std::size_t a, std::size_t b) {
@@ -549,11 +549,12 @@ void WorkloadDriver::phase_measure(CampaignState& st) {
   st.pool.run(workers, [&plan, &results, &order, &core_cfg, n, workers](
                            int shard, std::size_t, std::size_t) {
     for (auto j = static_cast<std::size_t>(shard); j < n; j += workers) {
-      results[order[j]] = power2::measure_quiet(core_cfg, *plan[order[j]]);
+      results[order[j]] =
+          power2::measure_quiet(core_cfg, *plan[order[j]].kernel);
     }
   });
   for (std::size_t i = 0; i < n; ++i) {
-    st.ahead.emplace(plan[i]->content_hash(), std::move(results[i]));
+    st.ahead.emplace(plan[i].hash, std::move(results[i]));
   }
 }
 
@@ -562,7 +563,7 @@ void WorkloadDriver::phase_launch(CampaignState& st) {
     Running r;
     r.spec = ev.spec;
     r.profile = &st.registry.get(ev.spec.profile_id);
-    r.sig = &st.signatures.get(r.profile->kernel);
+    r.sig = &st.signatures.get(r.profile->kernel_ref());
     r.nodes = std::move(ev.nodes);
     r.start_s = st.now;
     r.end_s = st.now + ev.spec.runtime_s;
@@ -674,17 +675,20 @@ void WorkloadDriver::phase_nfs_grant(CampaignState& st) {
 void WorkloadDriver::phase_lane_pipeline(CampaignState& st) {
   // Serial prologue: write each lane's work order for the whole pass.  The
   // activity mix and the job's absolute end time are pure functions of the
-  // job and the NFS grant; each lane derives its own per-interval busy
-  // split from end_s.
-  for (int n = 0; n < cfg_.num_nodes; ++n) {
-    NodeLane& lane = st.lane(n);
-    const Running* r = st.node_job[static_cast<std::size_t>(n)];
-    if (r == nullptr) {
-      lane.step = LaneStep{};
-    } else {
-      lane.step.sig = r->sig;
-      lane.step.activity = activity_for(*r, st.grant);
-      lane.step.end_s = r->end_s;
+  // job and the NFS grant, so each running job's order is set up once and
+  // copied to its lanes; each lane derives its own per-interval busy split
+  // from end_s.  A lane no job holds idles.
+  for (NodeLane& lane : st.lanes) lane.step = LaneStep{};
+  for (const auto& [id, r] : st.running) {
+    (void)id;
+    LaneStep step;
+    step.sig = r.sig;
+    step.activity = activity_for(r, st.grant);
+    step.end_s = r.end_s;
+    for (int n : r.nodes) {
+      P2SIM_INVARIANT(st.node_job[static_cast<std::size_t>(n)] == &r,
+                      "a running job's nodes are held by that job");
+      st.lane(n).step = step;
     }
   }
 

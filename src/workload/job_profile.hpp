@@ -24,6 +24,10 @@ namespace p2sim::workload {
 struct JobProfile {
   std::int64_t id = 0;
   power2::KernelDesc kernel;
+  /// kernel.content_hash(), set once by ProfileRegistry::add: the key the
+  /// campaign looks the kernel's signature up by.
+  std::uint64_t kernel_hash = 0;
+  power2::KernelRef kernel_ref() const { return {kernel_hash, &kernel}; }
 
   /// Communication-wait share of wall time when run on `ref_nodes` nodes.
   double comm_fraction_base = 0.25;
@@ -80,6 +84,7 @@ class ProfileRegistry {
   std::int64_t add(JobProfile p) {
     const std::int64_t id = next_id_++;
     p.id = id;
+    p.kernel_hash = p.kernel.content_hash();
     profiles_.emplace(id, std::move(p));
     return id;
   }

@@ -28,19 +28,29 @@
 
 namespace p2sim::cluster {
 
-/// Runs `slices` full slices of `profile` through Node's integer carry
-/// replay alone: true when the replay took them, false when it fell back
-/// (changing nothing).
 struct NodeTestPeer {
-  static bool replay(Node& node, std::uint64_t slices, bool busy,
+  /// Runs `slices` full slices of the work order (`sig`, `profile`)
+  /// through Node's integer carry replay alone: true when the replay took
+  /// them, false when it fell back (changing nothing).
+  static bool replay(Node& node, std::uint64_t slices,
+                     const power2::EventSignature* sig,
                      const ActivityProfile& profile) {
+    const Node::IntervalPlan plan =
+        node.make_plan(node.config().max_sample_slice_s, sig, profile);
     power2::EventCounts sys;
     std::uint64_t io_read = 0;
     std::uint64_t io_write = 0;
-    return node.replay_full_slices(
-        slices,
-        node.slice_adds(node.config().max_sample_slice_s, busy, profile),
-        sys, io_read, io_write);
+    return node.replay_full_slices(slices, plan, sys, io_read, io_write);
+  }
+
+  /// Node::advance of an up node on the batched path, returning how many
+  /// slices ran the floating-point carry step.
+  static std::uint64_t fp_slices(Node& node, double seconds,
+                                 const power2::EventSignature* sig,
+                                 const ActivityProfile& profile) {
+    const std::uint64_t n = node.advance_batched(seconds, sig, profile);
+    if (sig != nullptr) node.busy_seconds_ += seconds;
+    return n;
   }
 };
 
@@ -377,7 +387,7 @@ void fuzz_carry_guard(std::uint64_t seed, double slice_s) {
         switch (rng.below(6)) {
           case 0: slices = 1 + rng.below(5); break;
           case 1: slices = 20 + rng.below(200); break;
-          case 2: slices = CarryChain::kMaxSlices + rng.below(3); break;
+          case 2: slices = CarryGrid::kMaxSlices + rng.below(3); break;
           case 3: slices = 600; break;
           default: break;
         }
@@ -462,10 +472,10 @@ TEST(AccrualEquivalence, CampaignIntervalsTakeIntegerReplay) {
     Node node(5);
     for (int interval = 0; interval < 20; ++interval) {
       node.advance(900.0, &sig, act);
-      EXPECT_TRUE(NodeTestPeer::replay(node, 16, true, act))
+      EXPECT_TRUE(NodeTestPeer::replay(node, 16, &sig, act))
           << "busy, faults " << faults << ", interval " << interval;
       node.advance_idle(900.0);
-      EXPECT_TRUE(NodeTestPeer::replay(node, 16, false, idle))
+      EXPECT_TRUE(NodeTestPeer::replay(node, 16, nullptr, idle))
           << "idle, faults " << faults << ", interval " << interval;
     }
   }
@@ -489,7 +499,7 @@ TEST(AccrualEquivalence, ReplayFallsBackWithoutChangingState) {
     Node node(6, cfg);
     node.advance(32.0 * 18, &sig, act);
     const std::string before = ckpt_bytes(node);
-    EXPECT_FALSE(NodeTestPeer::replay(node, 16, true, act));
+    EXPECT_FALSE(NodeTestPeer::replay(node, 16, &sig, act));
     EXPECT_EQ(ckpt_bytes(node), before);
   }
   {
@@ -498,7 +508,7 @@ TEST(AccrualEquivalence, ReplayFallsBackWithoutChangingState) {
     steady.os_noise_fxu_per_s = 3.0 / 32.0;
     Node node(6, steady);
     node.advance(32.0 * 18, &sig, act);
-    EXPECT_TRUE(NodeTestPeer::replay(node, 16, true, act));
+    EXPECT_TRUE(NodeTestPeer::replay(node, 16, &sig, act));
   }
   {
     // 41.6 bytes per transfer is off the grid of 1024 + 41.6's binade.
@@ -508,7 +518,7 @@ TEST(AccrualEquivalence, ReplayFallsBackWithoutChangingState) {
     Node node(6, off_grid);
     node.advance(32.0 * 18, &sig, act);
     const std::string before = ckpt_bytes(node);
-    EXPECT_FALSE(NodeTestPeer::replay(node, 16, true, act));
+    EXPECT_FALSE(NodeTestPeer::replay(node, 16, &sig, act));
     EXPECT_EQ(ckpt_bytes(node), before);
   }
   {
@@ -519,8 +529,268 @@ TEST(AccrualEquivalence, ReplayFallsBackWithoutChangingState) {
     node.advance(32.0 * 18, &sig, act);
     const std::string before = ckpt_bytes(node);
     EXPECT_FALSE(
-        NodeTestPeer::replay(node, CarryChain::kMaxSlices + 1, true, act));
+        NodeTestPeer::replay(node, CarryGrid::kMaxSlices + 1, &sig, act));
     EXPECT_EQ(ckpt_bytes(node), before);
+  }
+}
+
+// ---- the interval plan: repeated work orders --------------------------
+//
+// A node keeps the plan of its last work order (seconds, signature
+// contents, activity profile) and reuses it when the next order is the
+// same.  Most campaign node-intervals repeat the order before them, and a
+// repeated order whose residuals sit on the plan's grids replays every
+// slice in integers.  These runs compare against the reference after
+// every interval.
+
+/// A fast node and a reference node fed the same operations.
+struct NodePair {
+  explicit NodePair(NodeConfig cfg = {}) : fast(9, with(cfg, false)),
+                                           ref(9, with(cfg, true)) {}
+  static NodeConfig with(NodeConfig cfg, bool reference) {
+    cfg.reference_accrual = reference;
+    return cfg;
+  }
+  void advance(double seconds, const power2::EventSignature* sig,
+               const ActivityProfile& act) {
+    fast.advance(seconds, sig, act);
+    ref.advance(seconds, sig, act);
+  }
+  void idle(double seconds) {
+    fast.advance_idle(seconds);
+    ref.advance_idle(seconds);
+  }
+  /// A lane's interval: `busy_s` under the job, the rest idle.
+  void interval(double busy_s, const power2::EventSignature* sig,
+                const ActivityProfile& act) {
+    if (busy_s > 0.0) advance(busy_s, sig, act);
+    if (busy_s < 900.0) idle(900.0 - busy_s);
+  }
+  Node fast;
+  Node ref;
+};
+
+/// perf_gate's engine profile (whole byte rates) with `faults` a second.
+ActivityProfile engine_profile(double faults) {
+  ActivityProfile act;
+  act.compute_fraction = 0.7;
+  act.comm_wait_fraction = 0.2;
+  act.io_wait_fraction = 0.05;
+  act.comm_send_bytes_per_s = 1.2e6;
+  act.comm_recv_bytes_per_s = 1.2e6;
+  act.disk_read_bytes_per_s = 8e3;
+  act.disk_write_bytes_per_s = 15e3;
+  act.page_faults_per_s = faults;
+  return act;
+}
+
+TEST(AccrualEquivalence, PlanReuseRepeatedWorkOrders) {
+  util::Xoshiro256StarStar rng(0x9A1);
+  for (double faults : {0.0, 1.0, 0.37}) {
+    for (double eight_word : {0.5, 0.3}) {
+      NodeConfig cfg;
+      cfg.dma.eight_word_fraction = eight_word;
+      NodePair n(cfg);
+      const power2::EventSignature sig = random_signature(rng);
+      ActivityProfile act = random_profile(rng);
+      act.page_faults_per_s = faults;
+      const std::string where = "faults " + std::to_string(faults) +
+                                " eight_word " + std::to_string(eight_word);
+      // Idle, busy for whole intervals, then busy for part of each
+      // interval and idle for the rest, each repeated.
+      for (int i = 0; i < 12; ++i) {
+        n.interval(0.0, nullptr, act);
+        expect_identical(n.fast, n.ref, where + " idle " + std::to_string(i));
+      }
+      for (int i = 0; i < 12; ++i) {
+        n.interval(900.0, &sig, act);
+        expect_identical(n.fast, n.ref, where + " busy " + std::to_string(i));
+      }
+      for (int i = 0; i < 8; ++i) {
+        n.interval(613.7, &sig, act);
+        expect_identical(n.fast, n.ref, where + " part " + std::to_string(i));
+      }
+      for (int i = 0; i < 4; ++i) {
+        n.interval(900.0, &sig, act);
+        n.interval(250.0, &sig, act);
+        n.interval(0.0, nullptr, act);
+        expect_identical(n.fast, n.ref, where + " mix " + std::to_string(i));
+      }
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(AccrualEquivalence, PlanReuseAcrossCrash) {
+  util::Xoshiro256StarStar rng(0x9A2);
+  const power2::EventSignature sig = random_signature(rng);
+  for (double faults : {0.0, 0.37}) {
+    NodePair n;
+    const ActivityProfile act = engine_profile(faults);
+    for (int round = 0; round < 3; ++round) {
+      n.interval(900.0, &sig, act);
+      n.interval(900.0, &sig, act);
+      n.fast.crash();
+      n.ref.crash();
+      n.fast.reboot();
+      n.ref.reboot();
+      // The same order again, on zeroed residuals and counters.
+      n.interval(900.0, &sig, act);
+      expect_identical(n.fast, n.ref, "busy round " + std::to_string(round));
+      n.interval(0.0, nullptr, act);
+      n.fast.crash();
+      n.ref.crash();
+      n.fast.reboot();
+      n.ref.reboot();
+      n.interval(0.0, nullptr, act);
+      expect_identical(n.fast, n.ref, "idle round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(AccrualEquivalence, PlanReuseAcrossCheckpointRestore) {
+  util::Xoshiro256StarStar rng(0x9A3);
+  const power2::EventSignature sig = random_signature(rng);
+  const ActivityProfile act = engine_profile(0.37);
+  NodePair n;
+  for (int round = 0; round < 6; ++round) {
+    n.interval(900.0, &sig, act);
+    n.interval(900.0, &sig, act);
+    // Restore both nodes from their own checkpoints: the fast node drops
+    // its plan and rebuilds it.
+    util::CkptWriter fw;
+    util::save_ckpt(fw, n.fast);
+    util::CkptWriter rw;
+    util::save_ckpt(rw, n.ref);
+    util::CkptReader fr(fw.bytes());
+    util::restore_ckpt(fr, n.fast);
+    util::CkptReader rr(rw.bytes());
+    util::restore_ckpt(rr, n.ref);
+    n.interval(900.0, &sig, act);
+    expect_identical(n.fast, n.ref, "same node " + std::to_string(round));
+    // Into fresh nodes, which start without a plan.
+    NodePair fresh;
+    util::CkptReader fr2(fw.bytes());
+    util::restore_ckpt(fr2, fresh.fast);
+    util::CkptReader rr2(rw.bytes());
+    util::restore_ckpt(rr2, fresh.ref);
+    fresh.interval(900.0, &sig, act);
+    fresh.interval(900.0, &sig, act);
+    expect_identical(fresh.fast, fresh.ref,
+                     "fresh node " + std::to_string(round));
+    // Residuals restored off the plan's grids between two identical
+    // orders: the next interval falls back, exactly.
+    Carried c;
+    c.pending_read = 47.0 + 0x1p-40;
+    c.pending_write = 0.1;
+    c.total_read = n.fast.dma().total_read_bytes();
+    c.total_write = n.fast.dma().total_write_bytes();
+    c.resid = {0.1, 0.3, 0x1p-50, 0.7, 1.0 / 3.0};
+    restore_carried(n.fast, c);
+    restore_carried(n.ref, c);
+    n.interval(900.0, &sig, act);
+    n.interval(900.0, &sig, act);
+    expect_identical(n.fast, n.ref, "off grid " + std::to_string(round));
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(AccrualEquivalence, PlanKeyedByContentsNotAddress) {
+  util::Xoshiro256StarStar rng(0x9A4);
+  const power2::EventSignature a = random_signature(rng);
+  const power2::EventSignature b = random_signature(rng);
+  NodePair n;
+  // One variable, reassigned between intervals: the same address holds
+  // two different signatures, and then two different profiles.
+  power2::EventSignature sig = a;
+  ActivityProfile act = engine_profile(1.0);
+  for (int round = 0; round < 4; ++round) {
+    sig = round % 2 == 0 ? a : b;
+    n.interval(900.0, &sig, act);
+    n.interval(900.0, &sig, act);
+    expect_identical(n.fast, n.ref, "signature " + std::to_string(round));
+    // A change in the lowest bit of one rate is a new order.
+    sig.fp_add0 = std::nextafter(sig.fp_add0, 1.0);
+    n.interval(900.0, &sig, act);
+    expect_identical(n.fast, n.ref, "one ulp " + std::to_string(round));
+    act.comm_send_bytes_per_s = round % 2 == 0 ? 1.1e6 : 1.2e6;
+    n.interval(900.0, &sig, act);
+    expect_identical(n.fast, n.ref, "profile " + std::to_string(round));
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(AccrualEquivalence, RepeatedIntervalTakesAllIntegerArm) {
+  util::Xoshiro256StarStar rng(0x9A5);
+  const power2::EventSignature sig = random_signature(rng);
+  ActivityProfile idle;
+  idle.compute_fraction = 0.0;
+  for (double faults : {0.0, 1.0}) {
+    const ActivityProfile act = engine_profile(faults);
+    NodePair n;
+    n.interval(900.0, &sig, act);
+    for (int i = 0; i < 10; ++i) {
+      // A whole busy interval after an identical one: all 18 slices
+      // replay in integers.
+      EXPECT_EQ(NodeTestPeer::fp_slices(n.fast, 900.0, &sig, act), 0u)
+          << "busy, faults " << faults << ", interval " << i;
+      n.ref.advance(900.0, &sig, act);
+      expect_identical(n.fast, n.ref, "busy " + std::to_string(i));
+    }
+    n.interval(0.0, nullptr, act);
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(NodeTestPeer::fp_slices(n.fast, 900.0, nullptr, idle), 0u)
+          << "idle, faults " << faults << ", interval " << i;
+      n.ref.advance_idle(900.0);
+      expect_identical(n.fast, n.ref, "idle " + std::to_string(i));
+    }
+    // A shorter remainder always runs the floating-point step.
+    n.advance(910.0, &sig, act);
+    EXPECT_EQ(NodeTestPeer::fp_slices(n.fast, 910.0, &sig, act), 1u);
+    n.ref.advance(910.0, &sig, act);
+    expect_identical(n.fast, n.ref, "remainder, faults " +
+                                        std::to_string(faults));
+  }
+}
+
+// One slice may not move a system-mode instruction counter or a DMA
+// counter by a full wrap: the 64-bit totals would then count what the
+// reference's per-slice sampling loses.  Building the plan throws before
+// the node changes.
+TEST(AccrualEquivalence, WrapSizedSliceThrowsInsteadOfDiverging) {
+  util::Xoshiro256StarStar rng(0x9A6);
+  const power2::EventSignature sig = random_signature(rng);
+  NodeConfig base;
+  base.max_sample_slice_s = 32.0;  // one fault a slice adds each cost once
+  ActivityProfile act;
+  act.page_faults_per_s = 1.0 / 32.0;
+  const double big = 0x1p40;
+  using Field = double NodeConfig::*;
+  for (const Field field :
+       {&NodeConfig::fault_fxu_inst, &NodeConfig::fault_icu_inst,
+        &NodeConfig::page_bytes}) {
+    NodeConfig cfg = base;
+    cfg.*field = big;
+    NodePair n(cfg);
+    n.idle(900.0);
+    const std::string before = ckpt_bytes(n.fast);
+    EXPECT_THROW(n.fast.advance(900.0, &sig, act), std::invalid_argument);
+    EXPECT_EQ(ckpt_bytes(n.fast), before);
+  }
+  {
+    ActivityProfile traffic;
+    traffic.comm_send_bytes_per_s = big / 32.0;
+    NodePair n(base);
+    EXPECT_THROW(n.fast.advance(900.0, &sig, traffic),
+                 std::invalid_argument);
+  }
+  // Just below the bound the two paths still agree.
+  NodeConfig cfg = base;
+  cfg.fault_icu_inst = 0x1p32 - 0x1p21;  // plus 1.28e6 of OS noise a slice
+  NodePair n(cfg);
+  for (int i = 0; i < 3; ++i) {
+    n.advance(900.0, &sig, act);
+    expect_identical(n.fast, n.ref, "below the bound " + std::to_string(i));
   }
 }
 

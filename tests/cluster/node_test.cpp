@@ -56,6 +56,17 @@ TEST(Node, RejectsNegativeOrNonFiniteCostsAndRates) {
   }
 }
 
+TEST(Node, RejectsOsNoiseThatWrapsInOneSlice) {
+  for (const auto field :
+       {&NodeConfig::os_noise_fxu_per_s, &NodeConfig::os_noise_icu_per_s}) {
+    NodeConfig cfg;
+    cfg.*field = 0x1p32 / cfg.max_sample_slice_s;
+    EXPECT_THROW(Node(0, cfg), std::invalid_argument);
+    cfg.*field = 0x1p31 / cfg.max_sample_slice_s;
+    EXPECT_NO_THROW(Node(0, cfg));
+  }
+}
+
 TEST(Node, RestoreRejectsDoctoredResidual) {
   Node n(0);
   n.advance_idle(900.0);

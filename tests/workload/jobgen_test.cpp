@@ -192,5 +192,19 @@ TEST(ProfileRegistry, UnknownIdThrows) {
   EXPECT_THROW(reg.get(42), std::out_of_range);
 }
 
+// The campaign looks signatures up by the hash the registry stored, so it
+// must be the kernel's content hash (the signature store's key).
+TEST(ProfileRegistry, KernelRefCarriesContentHash) {
+  ProfileRegistry reg;
+  JobGenerator gen(JobGenConfig{}, reg);
+  for (int i = 0; i < 100; ++i) gen.next(i * 60.0);
+  ASSERT_GT(reg.size(), 0u);
+  reg.for_each([](const JobProfile& p) {
+    const power2::KernelRef ref = p.kernel_ref();
+    EXPECT_EQ(ref.hash, p.kernel.content_hash()) << p.kernel.name;
+    EXPECT_EQ(ref.kernel, &p.kernel);
+  });
+}
+
 }  // namespace
 }  // namespace p2sim::workload
